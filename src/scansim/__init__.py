@@ -12,15 +12,12 @@ CLI for single runs, seeded batches, and parameter sweeps.
 
 from .calibration import (
     CorrespondenceLog,
-    TransformVector,
     accumulate_analytical,
     analytical_tc,
     beacon_error,
     calibrate_beacons,
-    inverse_trajectory_pass,
     mean_distance_error,
     numerical_tc,
-    transform_point,
 )
 from .errors import (
     CalibrationError,
@@ -30,24 +27,29 @@ from .errors import (
     ScenarioError,
 )
 from .filters import (
+    ClusterModel,
+    EkfParams,
     FilterState,
     HinfParams,
     MeasurementNoise,
     ProcessNoise,
     UkfParams,
-    ekf_step,
-    hinf_step,
-    measurement_jacobian,
-    measurement_model,
-    process_model,
-    ukf_step,
+    filter_step,
 )
-from .orchestrator import CalibrationRecord, ScanResult, run_scan
+from .geometry import (
+    Mode,
+    TransformVector,
+    inverse_transform_point,
+    predict_ranges,
+    process_model,
+    transform_point,
+    wrap_angle,
+)
+from .orchestrator import CalibrationRecord, ScanResult, inverse_trajectory_pass, run_scan
 from .positioning import StaticFix, bootstrap_state, gauss_newton_fix
 from .reporting import CdfTable, RunSummary, compute_cdf
 from .scenario import (
     Beacon,
-    Mode,
     NoiseParams,
     Pose,
     ScenarioConfig,
@@ -58,7 +60,6 @@ from .scenario import (
     load_scenario,
     make_square_cluster,
     save_scenario,
-    wrap_angle,
 )
 from .simulator import (
     MeasurementFrame,

@@ -16,44 +16,14 @@ point-to-point distance after transformation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
 
 from .errors import CalibrationError
+from .geometry import TransformVector, transform_point
 from .scenario import Beacon, UlpsDescriptor, UlpsKind
-
-
-@dataclass(frozen=True)
-class TransformVector:
-    """Local-to-global similarity transform (t1, t2 rotation/scale; t3, t4 shift)."""
-
-    t1: float
-    t2: float
-    t3: float
-    t4: float
-
-    @property
-    def scale(self) -> float:
-        """Implied scale factor; 1.0 for a rigid scene (diagnostic only)."""
-        return float(np.hypot(self.t1, self.t2))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t1, self.t2, self.t3, self.t4])
-
-    @classmethod
-    def from_array(cls, values) -> "TransformVector":
-        t1, t2, t3, t4 = (float(v) for v in values)
-        return cls(t1, t2, t3, t4)
-
-    @classmethod
-    def identity(cls) -> "TransformVector":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_rotation(cls, angle: float, tx: float, ty: float) -> "TransformVector":
-        return cls(float(np.cos(angle)), float(np.sin(angle)), float(tx), float(ty))
 
 
 @dataclass
@@ -82,15 +52,6 @@ class CorrespondenceLog:
             np.array(self.local_points, dtype=float).reshape(-1, 2),
             np.array(self.global_points, dtype=float).reshape(-1, 2),
         )
-
-
-def transform_point(p, t: TransformVector) -> np.ndarray:
-    """Map a local-frame point (or an (n, 2) array of points) to the map frame."""
-    p = np.asarray(p, dtype=float)
-    x, y = p[..., 0], p[..., 1]
-    return np.stack(
-        [x * t.t1 - y * t.t2 + t.t3, y * t.t1 + x * t.t2 + t.t4], axis=-1
-    )
 
 
 def analytical_tc(pair_a, pair_b) -> TransformVector:
@@ -242,45 +203,3 @@ def per_beacon_errors(estimated, truth) -> np.ndarray:
 def beacon_error(estimated, truth) -> float:
     """Mean floor-plane beacon position error for one cluster."""
     return float(np.mean(per_beacon_errors(estimated, truth)))
-
-
-def inverse_trajectory_pass(
-    frames, forward_result, config, filter_kind, method, **estimator_kwargs
-):
-    """Re-run the pipeline on the reversed measurement stream and merge.
-
-    The recorded odometry is dead-reckoned, the implied pose sequence is
-    differenced in reverse (headings flipped by pi) to produce reversed
-    increments with no fresh noise, and the full pipeline runs again from the
-    final position.  The calibrations of the last ``inverse_correct_count``
-    clusters calibrated in the forward pass are replaced by their reverse-pass
-    counterparts, which see those clusters first and therefore with the least
-    accumulated drift.  Extra keyword arguments (estimator tuning) are passed
-    through to the reverse run so both passes use identical settings.
-
-    Skipped with a warning when the forward pass did not end inside the
-    coverage of a globally referenced cluster.
-    """
-    from .orchestrator import merge_inverse_result, run_scan
-    from .simulator import reverse_frames
-
-    count = config.inverse_correct_count
-    if count == 0 or not forward_result.calibrations:
-        return forward_result
-
-    gr_ids = {u.id for u in config.global_clusters}
-    last_obs_ids = {o.ulps_id for o in frames[-1].observations}
-    if not (gr_ids & last_obs_ids):
-        warnings.warn(
-            "inverse trajectory pass skipped: the run did not end inside a "
-            "globally referenced cluster's coverage",
-            stacklevel=2,
-        )
-        return forward_result
-
-    reversed_stream = reverse_frames(frames)
-    reverse_result = run_scan(
-        reversed_stream, config, filter_kind, method, inverse=False,
-        **estimator_kwargs,
-    )
-    return merge_inverse_result(forward_result, reverse_result, count)

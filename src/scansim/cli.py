@@ -132,9 +132,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_montecarlo(args) -> int:
+def _check_batch_args(args) -> None:
     if args.runs < 1:
         raise ScanError("--runs must be >= 1")
+    if args.jobs < 1:
+        raise ScanError("--jobs must be >= 1")
+
+
+def _cmd_montecarlo(args) -> int:
+    _check_batch_args(args)
     config = _load_config(args)
     summaries, aggregate = run_batch(
         config, args.runs, args.filter, args.method, args.inverse, args.jobs
@@ -153,6 +159,7 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_sweep_dmin(args) -> int:
+    _check_batch_args(args)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ScanError("--values must list at least one d_min")

@@ -2,25 +2,24 @@
 
 All three filters estimate the same 3-state vector [x, y, theta] from
 odometry increments and per-cluster ultrasound observations.  Each filter is
-implemented as a generic core operating on arrays and model callables, plus a
-pose-level wrapper that handles the domain types.  The generic cores are the
-single code path for both the robot problem and the linear cross-validation
-fixtures in the test suite.
+implemented as a generic core operating on arrays and model callables; one
+pose-level step (``filter_step``) binds the motion and range models of
+``geometry`` to whichever core the filter's parameter object selects.  The
+generic cores are the single code path for both the robot problem and the
+linear cross-validation fixtures in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FilterError
-from .scenario import Mode, Pose, UlpsDescriptor, wrap_angles
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids an import cycle
-    from .simulator import OdometryIncrement, UsObservation
+from .geometry import Mode, predict_ranges, process_model, wrap_angles
+from .scenario import Pose
+from .simulator import OdometryIncrement, UsObservation
 
 STATE_DIM = 3
 THETA_INDEX = 2
@@ -106,6 +105,10 @@ class UkfParams:
             )
         return self.alpha**2 * (state_dim + self.kappa) - state_dim
 
+    def core(self, x, P, f, F, z, h, H, Q, R):
+        """Unscented step on a pose state; the Jacobians F and H go unused."""
+        return ukf_step_core(x, P, f, z, h, Q, R, self, angle_idx=THETA_INDEX)
+
 
 @dataclass(frozen=True)
 class HinfParams:
@@ -116,6 +119,34 @@ class HinfParams:
     def __post_init__(self):
         if not self.gamma > 0:
             raise FilterError("gamma must be > 0")
+
+    def core(self, x, P, f, F, z, h, H, Q, R):
+        """H-infinity step on a pose state."""
+        return hinf_step_core(x, P, f, F, z, h, H, Q, R, self.gamma, angle_idx=THETA_INDEX)
+
+
+@dataclass(frozen=True)
+class EkfParams:
+    """The extended Kalman filter, which has no tuning of its own."""
+
+    def core(self, x, P, f, F, z, h, H, Q, R):
+        """Extended-Kalman step on a pose state."""
+        return ekf_step_core(x, P, f, F, z, h, H, Q, R, angle_idx=THETA_INDEX)
+
+
+@dataclass(frozen=True)
+class ClusterModel:
+    """What a filter update needs to know about one observed cluster.
+
+    ``beacons`` is the (I, 3) beacon array in the filter's frame, ``z_mr``
+    the receiver height and ``R`` the observation covariance (see
+    ``MeasurementNoise``).
+    """
+
+    beacons: np.ndarray
+    z_mr: float
+    mode: Mode
+    R: np.ndarray
 
 
 @dataclass
@@ -131,99 +162,6 @@ class FilterState:
     @property
     def frame(self) -> str:
         return self.pose.frame
-
-
-# ---------------------------------------------------------------------------
-# Motion and measurement models
-# ---------------------------------------------------------------------------
-
-def process_model(x: Pose, odo: OdometryIncrement) -> Pose:
-    """Propagate a pose by one odometry increment.
-
-    The heading increment is applied before the translation:
-
-        theta' = theta + dtheta
-        x'     = x + dd * cos(theta')
-        y'     = y + dd * sin(theta')
-    """
-    theta = x.theta + odo.delta_theta
-    return Pose(
-        x.x + odo.delta_d * math.cos(theta),
-        x.y + odo.delta_d * math.sin(theta),
-        theta,
-        frame=x.frame,
-    )
-
-
-def process_model_array(state: np.ndarray, odo: OdometryIncrement) -> np.ndarray:
-    """Array form of ``process_model`` for (3,) or (m, 3) inputs."""
-    state = np.asarray(state, dtype=float)
-    theta = state[..., 2] + odo.delta_theta
-    out = np.empty_like(state)
-    out[..., 0] = state[..., 0] + odo.delta_d * np.cos(theta)
-    out[..., 1] = state[..., 1] + odo.delta_d * np.sin(theta)
-    out[..., 2] = wrap_angles(theta)
-    return out
-
-
-def process_jacobian(x: Pose, odo: OdometryIncrement) -> np.ndarray:
-    """Derivative of the propagated state w.r.t. the previous state."""
-    theta = x.theta + odo.delta_theta
-    return np.array(
-        [
-            [1.0, 0.0, -odo.delta_d * math.sin(theta)],
-            [0.0, 1.0, odo.delta_d * math.cos(theta)],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-
-
-def predict_ranges(xy, beacons: np.ndarray, z_mr: float, mode: Mode) -> np.ndarray:
-    """Predicted observations at floor position ``xy`` for one cluster.
-
-    Spherical: 3D emitter-receiver distance per beacon.  Hyperbolic: those
-    distances minus the distance to beacon 1, for beacons 2..I.  Works on a
-    single position (2,) or a batch (m, 2).
-    """
-    xy = np.asarray(xy, dtype=float)
-    delta = xy[..., None, :] - beacons[:, :2]
-    dz = z_mr - beacons[:, 2]
-    dists = np.sqrt(np.sum(delta**2, axis=-1) + dz**2)
-    if Mode(mode) is Mode.SPHERICAL:
-        return dists
-    return dists[..., 1:] - dists[..., :1]
-
-
-def measurement_model(x: Pose, u: UlpsDescriptor, z_mr: float, mode: Mode) -> np.ndarray:
-    """Predicted observation vector for a pose, using the descriptor's beacons.
-
-    The beacons must be expressed in the same frame as the pose; ranges do
-    not depend on the heading.
-    """
-    return predict_ranges(x.xy, u.beacon_array(), z_mr, mode)
-
-
-def measurement_jacobian(
-    x: Pose, u: UlpsDescriptor, z_mr: float, mode: Mode
-) -> np.ndarray:
-    """Analytic partials of the observation vector w.r.t. (x, y, theta).
-
-    The theta column is identically zero.  Raises if the pose sits at zero
-    3D distance from a beacon (cannot happen for ceiling-mounted beacons and
-    a receiver below them).
-    """
-    beacons = u.beacon_array()
-    delta = x.xy[None, :] - beacons[:, :2]
-    dz = z_mr - beacons[:, 2]
-    dists = np.sqrt(np.sum(delta**2, axis=1) + dz**2)
-    if np.any(dists <= 0.0):
-        raise FilterError("zero emitter-receiver distance: Jacobian undefined")
-    rows = np.zeros((len(beacons), STATE_DIM))
-    rows[:, 0] = delta[:, 0] / dists
-    rows[:, 1] = delta[:, 1] / dists
-    if Mode(mode) is Mode.SPHERICAL:
-        return rows
-    return rows[1:] - rows[:1]
 
 
 # ---------------------------------------------------------------------------
@@ -386,110 +324,49 @@ def hinf_step_core(x, P, f, A, z, h, H, Q, R, gamma: float, angle_idx=None):
 
 
 # ---------------------------------------------------------------------------
-# Pose-level filter steps
+# Pose-level filter step
 # ---------------------------------------------------------------------------
 
-def _obs_vector(obs: UsObservation | None, noise: MeasurementNoise | None):
-    if obs is None:
-        return None
-    if noise is None:
-        raise FilterError("measurement noise required when an observation is present")
-    z = np.asarray(obs.values, dtype=float)
-    if len(z) != noise.dimension:
-        raise FilterError(
-            f"observation dimension {len(z)} != noise dimension {noise.dimension}"
-        )
-    return z
-
-
-def ekf_step(
+def filter_step(
     state: FilterState,
     odo: OdometryIncrement,
     obs: UsObservation | None,
-    u: UlpsDescriptor | None,
-    z_mr: float,
-    mode: Mode,
+    cluster: ClusterModel | None,
     process_noise: ProcessNoise,
-    meas_noise: MeasurementNoise | None = None,
+    params: EkfParams | UkfParams | HinfParams = EkfParams(),
 ) -> FilterState:
-    """Extended Kalman filter step; prediction only when ``obs`` is None."""
-    z = _obs_vector(obs, meas_noise)
-    beacons = u.beacon_array() if u is not None else None
-    x, P = ekf_step_core(
-        state.pose.as_array(),
+    """One step of the filter that ``params`` selects.
+
+    Prediction only when ``obs`` is None; otherwise ``cluster`` describes
+    the observed cluster in the frame of ``state``.
+    """
+    z = None
+    if obs is not None:
+        if cluster is None:
+            raise FilterError("a cluster model is required when an observation is present")
+        z = np.asarray(obs.values, dtype=float)
+        if len(z) != len(cluster.R):
+            raise FilterError(
+                f"observation dimension {len(z)} != noise dimension {len(cluster.R)}"
+            )
+    x = state.pose.as_array()
+    x, P = params.core(
+        x,
         state.P,
-        f=lambda s: process_model_array(s, odo),
-        F=process_jacobian(state.pose, odo),
+        f=lambda s: process_model(s, odo),
+        F=process_model(x, odo, jacobian=True)[1],
         z=z,
-        h=lambda s: predict_ranges(s[:2], beacons, z_mr, mode),
-        H=lambda s: measurement_jacobian(
-            Pose(s[0], s[1], s[2], frame=state.frame), u, z_mr, mode
-        ),
+        h=lambda s: predict_ranges(s, cluster.beacons, cluster.z_mr, cluster.mode),
+        H=lambda s: predict_ranges(
+            s, cluster.beacons, cluster.z_mr, cluster.mode, jacobian=True
+        )[1],
         Q=process_noise.matrix(),
-        R=meas_noise.matrix() if z is not None else None,
-        angle_idx=THETA_INDEX,
+        R=cluster.R if z is not None else None,
     )
     return FilterState(Pose(x[0], x[1], x[2], frame=state.frame), P)
 
 
-def ukf_step(
-    state: FilterState,
-    odo: OdometryIncrement,
-    obs: UsObservation | None,
-    u: UlpsDescriptor | None,
-    z_mr: float,
-    mode: Mode,
-    process_noise: ProcessNoise,
-    meas_noise: MeasurementNoise | None = None,
-    params: UkfParams = UkfParams(),
-) -> FilterState:
-    """Unscented Kalman filter step; prediction only when ``obs`` is None."""
-    z = _obs_vector(obs, meas_noise)
-    beacons = u.beacon_array() if u is not None else None
-    x, P = ukf_step_core(
-        state.pose.as_array(),
-        state.P,
-        f_points=lambda pts: process_model_array(pts, odo),
-        z=z,
-        h_points=lambda pts: predict_ranges(pts[:, :2], beacons, z_mr, mode),
-        Q=process_noise.matrix(),
-        R=meas_noise.matrix() if z is not None else None,
-        params=params,
-        angle_idx=THETA_INDEX,
-    )
-    return FilterState(Pose(x[0], x[1], x[2], frame=state.frame), P)
-
-
-def hinf_step(
-    state: FilterState,
-    odo: OdometryIncrement,
-    obs: UsObservation | None,
-    u: UlpsDescriptor | None,
-    z_mr: float,
-    mode: Mode,
-    process_noise: ProcessNoise,
-    meas_noise: MeasurementNoise | None = None,
-    params: HinfParams = HinfParams(),
-) -> FilterState:
-    """H-infinity filter step; prediction only when ``obs`` is None."""
-    z = _obs_vector(obs, meas_noise)
-    beacons = u.beacon_array() if u is not None else None
-    x, P = hinf_step_core(
-        state.pose.as_array(),
-        state.P,
-        f=lambda s: process_model_array(s, odo),
-        A=process_jacobian(state.pose, odo),
-        z=z,
-        h=lambda s: predict_ranges(s[:2], beacons, z_mr, mode),
-        H=lambda s: measurement_jacobian(
-            Pose(s[0], s[1], s[2], frame=state.frame), u, z_mr, mode
-        ),
-        Q=process_noise.matrix(),
-        R=meas_noise.matrix() if z is not None else None,
-        gamma=params.gamma,
-        angle_idx=THETA_INDEX,
-    )
-    return FilterState(Pose(x[0], x[1], x[2], frame=state.frame), P)
-
-
-FILTER_STEPS = {"ekf": ekf_step, "ukf": ukf_step, "hinf": hinf_step}
+#: The step of each filter kind.  All kinds share ``filter_step``; callers
+#: look the step up here by kind on every call, so that one kind's steps can
+#: be wrapped (to trace or time them) apart from the others.
+FILTER_STEPS = {"ekf": filter_step, "ukf": filter_step, "hinf": filter_step}

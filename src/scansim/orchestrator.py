@@ -12,31 +12,33 @@ cluster between the globally referenced ones.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import simulator
 from .calibration import (
     CorrespondenceLog,
-    TransformVector,
     accumulate_analytical,
     calibrate_beacons,
-    inverse_trajectory_pass,
     numerical_tc,
     per_beacon_errors,
 )
 from .errors import CalibrationError, GeometryError, ScanError
 from .filters import (
     FILTER_STEPS,
+    ClusterModel,
+    EkfParams,
     FilterState,
     HinfParams,
     MeasurementNoise,
     ProcessNoise,
     UkfParams,
 )
+from .geometry import Mode, TransformVector
 from .positioning import MIN_FIX_SEPARATION, StaticFix, bootstrap_state, gauss_newton_fix
-from .scenario import Beacon, Mode, ScenarioConfig, UlpsDescriptor, UlpsKind
-from .simulator import MeasurementFrame, true_global_beacons
+from .scenario import Beacon, ScenarioConfig, beacon_array
 
 FILTER_KINDS = ("ekf", "ukf", "hinf")
 METHODS = ("analytical", "numerical")
@@ -74,8 +76,14 @@ class CalibrationRecord:
 
 @dataclass
 class ScanState:
-    """Mutable state folded over the measurement frames."""
+    """Mutable state folded over the measurement frames.
 
+    ``models`` holds each cluster's ``ClusterModel`` in the frame of the
+    filter it anchors: the cluster's own frame until it is promoted, the map
+    frame from then on.
+    """
+
+    models: dict
     global_filter: FilterState | None = None
     local_filters: dict = field(default_factory=dict)
     calibrated: dict = field(default_factory=dict)
@@ -111,8 +119,7 @@ class _RunParams:
     filter_kind: str
     method: str
     process_noise: ProcessNoise
-    ukf_params: UkfParams
-    hinf_params: HinfParams
+    filter_params: EkfParams | UkfParams | HinfParams
     bootstrap_sigma_xy: float = BOOTSTRAP_SIGMA_XY
     bootstrap_sigma_theta: float = BOOTSTRAP_SIGMA_THETA
 
@@ -125,33 +132,15 @@ class _RunParams:
             ]
         )
 
-    def meas_noise(self, u: UlpsDescriptor) -> MeasurementNoise:
-        return MeasurementNoise.for_cluster(
-            self.config.mode, self.config.noise.sigma_us, len(u.beacons)
+    def cluster_model(self, beacons: tuple[Beacon, ...]) -> ClusterModel:
+        config = self.config
+        noise = MeasurementNoise.for_cluster(config.mode, config.noise.sigma_us, len(beacons))
+        return ClusterModel(beacon_array(beacons), config.z_mr, config.mode, noise.matrix())
+
+    def step_filter(self, state: FilterState, odo, obs, cluster: ClusterModel | None):
+        return FILTER_STEPS[self.filter_kind](
+            state, odo, obs, cluster, self.process_noise, self.filter_params
         )
-
-    def step_filter(self, state: FilterState, odo, obs, u: UlpsDescriptor | None):
-        step = FILTER_STEPS[self.filter_kind]
-        kwargs = {}
-        if self.filter_kind == "ukf":
-            kwargs["params"] = self.ukf_params
-        elif self.filter_kind == "hinf":
-            kwargs["params"] = self.hinf_params
-        return step(
-            state,
-            odo,
-            obs,
-            u,
-            self.config.z_mr,
-            self.config.mode,
-            self.process_noise,
-            self.meas_noise(u) if obs is not None else None,
-            **kwargs,
-        )
-
-
-def _promoted_descriptor(u: UlpsDescriptor, beacons: tuple[Beacon, ...]) -> UlpsDescriptor:
-    return replace(u, kind=UlpsKind.GLOBALLY_REFERENCED, beacons=beacons)
 
 
 def _estimated_center(record: CalibrationRecord) -> np.ndarray:
@@ -186,7 +175,7 @@ def _finalize_cluster(
         return False
 
     beacons = calibrate_beacons(u, transform)
-    truth = true_global_beacons(u)
+    truth = simulator.true_global_beacons(u)
     errors = per_beacon_errors(beacons, truth)
     state.calibrated[cid] = CalibrationRecord(
         cluster_id=cid,
@@ -197,6 +186,7 @@ def _finalize_cluster(
         beacon_error=float(np.mean(errors)),
         per_beacon_errors=tuple(float(e) for e in errors),
     )
+    state.models[cid] = params.cluster_model(beacons)
     state.local_filters.pop(cid, None)
     state.pending_local_fixes.pop(cid, None)
     state.common_prev.pop(cid, None)
@@ -220,7 +210,7 @@ def _try_bootstrap(
 
 
 def scan_step(
-    state: ScanState, frame: MeasurementFrame, params: _RunParams
+    state: ScanState, frame: simulator.MeasurementFrame, params: _RunParams
 ) -> ScanState:
     """Advance the state machine by one measurement frame (mutates state)."""
     config = params.config
@@ -271,19 +261,16 @@ def scan_step(
         estimate = state.global_filter.pose.xy
         for obs in frame.observations:
             if obs.ulps_id in gr_ids:
-                u = config.cluster(obs.ulps_id)
-                center = np.array(u.coverage_center)
+                center = np.array(config.cluster(obs.ulps_id).coverage_center)
             elif obs.ulps_id in state.calibrated:
-                record = state.calibrated[obs.ulps_id]
-                u = _promoted_descriptor(config.cluster(obs.ulps_id), record.beacons)
-                center = _estimated_center(record)
+                center = _estimated_center(state.calibrated[obs.ulps_id])
             else:
                 continue
-            anchor_choices.append((float(np.hypot(*(center - estimate))), obs, u))
+            anchor_choices.append((float(np.hypot(*(center - estimate))), obs))
         if anchor_choices:
-            _, obs, u = min(anchor_choices, key=lambda item: item[0])
+            _, obs = min(anchor_choices, key=lambda item: item[0])
             state.global_filter = params.step_filter(
-                state.global_filter, frame.odo, obs, u
+                state.global_filter, frame.odo, obs, state.models[obs.ulps_id]
             )
             state.global_updated = True
         else:
@@ -300,7 +287,7 @@ def scan_step(
         obs = frame.observation_for(cid)
         if cid in state.local_filters:
             state.local_filters[cid] = params.step_filter(
-                state.local_filters[cid], frame.odo, obs, u if obs else None
+                state.local_filters[cid], frame.odo, obs, state.models[cid]
             )
             state.trajectories_local.setdefault(cid, []).append(
                 (frame.epoch, state.local_filters[cid].pose)
@@ -333,7 +320,7 @@ def scan_step(
     return state
 
 
-def _global_rmse(state: ScanState, frames: list[MeasurementFrame]) -> float:
+def _global_rmse(state: ScanState, frames: list[simulator.MeasurementFrame]) -> float:
     if not state.trajectory_global:
         return float("nan")
     truth = {f.epoch: f.true_pose for f in frames}
@@ -345,7 +332,7 @@ def _global_rmse(state: ScanState, frames: list[MeasurementFrame]) -> float:
 
 
 def run_scan(
-    frames: list[MeasurementFrame],
+    frames: list[simulator.MeasurementFrame],
     config: ScenarioConfig,
     filter_kind: str = "ekf",
     method: str = "analytical",
@@ -376,18 +363,22 @@ def run_scan(
             max(noise.sigma_d_odo, ZERO_NOISE_SIGMA),
             max(noise.sigma_theta_odo, ZERO_NOISE_SIGMA),
         )
+    filter_params = {
+        "ekf": EkfParams(),
+        "ukf": ukf_params or UkfParams(),
+        "hinf": hinf_params or HinfParams(),
+    }[filter_kind]
     params = _RunParams(
         config=config,
         filter_kind=filter_kind,
         method=method,
         process_noise=process_noise,
-        ukf_params=ukf_params or UkfParams(),
-        hinf_params=hinf_params or HinfParams(),
+        filter_params=filter_params,
         bootstrap_sigma_xy=ZERO_NOISE_SIGMA if noiseless else BOOTSTRAP_SIGMA_XY,
         bootstrap_sigma_theta=ZERO_NOISE_SIGMA if noiseless else BOOTSTRAP_SIGMA_THETA,
     )
 
-    state = ScanState()
+    state = ScanState(models={u.id: params.cluster_model(u.beacons) for u in config.ulps})
     for frame in frames:
         scan_step(state, frame, params)
 
@@ -433,6 +424,45 @@ def run_scan(
             hinf_params=hinf_params,
         )
     return result
+
+
+def inverse_trajectory_pass(
+    frames, forward_result, config, filter_kind, method, **estimator_kwargs
+):
+    """Re-run the pipeline on the reversed measurement stream and merge.
+
+    The recorded odometry is dead-reckoned, the implied pose sequence is
+    differenced in reverse (headings flipped by pi) to produce reversed
+    increments with no fresh noise, and the full pipeline runs again from the
+    final position.  The calibrations of the last ``inverse_correct_count``
+    clusters calibrated in the forward pass are replaced by their reverse-pass
+    counterparts, which see those clusters first and therefore with the least
+    accumulated drift.  Extra keyword arguments (estimator tuning) are passed
+    through to the reverse run so both passes use identical settings.
+
+    Skipped with a warning when the forward pass did not end inside the
+    coverage of a globally referenced cluster.
+    """
+    count = config.inverse_correct_count
+    if count == 0 or not forward_result.calibrations:
+        return forward_result
+
+    gr_ids = {u.id for u in config.global_clusters}
+    last_obs_ids = {o.ulps_id for o in frames[-1].observations}
+    if not (gr_ids & last_obs_ids):
+        warnings.warn(
+            "inverse trajectory pass skipped: the run did not end inside a "
+            "globally referenced cluster's coverage",
+            stacklevel=2,
+        )
+        return forward_result
+
+    reversed_stream = simulator.reverse_frames(frames)
+    reverse_result = run_scan(
+        reversed_stream, config, filter_kind, method, inverse=False,
+        **estimator_kwargs,
+    )
+    return merge_inverse_result(forward_result, reverse_result, count)
 
 
 def merge_inverse_result(

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .scenario import Mode, Pose, UlpsDescriptor
+from .geometry import Mode, predict_ranges
+from .scenario import Pose, UlpsDescriptor
 from .simulator import UsObservation
 
 MAX_ITERATIONS = 50
@@ -39,16 +40,6 @@ class StaticFix:
     @property
     def xy(self) -> np.ndarray:
         return np.array(self.position)
-
-
-def _model_and_jacobian(xy: np.ndarray, beacons: np.ndarray, z_mr: float, mode: Mode):
-    delta = xy[None, :] - beacons[:, :2]
-    dz = z_mr - beacons[:, 2]
-    dists = np.sqrt(np.sum(delta**2, axis=1) + dz**2)
-    jac = delta / dists[:, None]
-    if mode is Mode.SPHERICAL:
-        return dists, jac
-    return dists[1:] - dists[0], jac[1:] - jac[0]
 
 
 def gauss_newton_fix(
@@ -94,7 +85,7 @@ def gauss_newton_fix(
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        modeled, jac = _model_and_jacobian(xy, beacons, z_mr, mode)
+        modeled, jac = predict_ranges(xy, beacons, z_mr, mode, jacobian=True)
         residual = modeled - z
         normal = jac.T @ jac
         gradient = jac.T @ residual
@@ -112,7 +103,7 @@ def gauss_newton_fix(
             converged = True
             break
 
-    modeled, _ = _model_and_jacobian(xy, beacons, z_mr, mode)
+    modeled = predict_ranges(xy, beacons, z_mr, mode)
     residual_rms = float(np.sqrt(np.mean((modeled - z) ** 2)))
     return StaticFix(
         position=(float(xy[0]), float(xy[1])),

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import TransformVector
+from .geometry import inverse_transform_point
 from .orchestrator import ScanResult
 from .scenario import GLOBAL_FRAME, Pose, ScenarioConfig, local_frame
 from .simulator import MeasurementFrame, true_transform
@@ -181,18 +180,6 @@ def _open_csv(path):
     return open(path, "w", newline="")
 
 
-def _inverse_transform_pose(pose: Pose, t: TransformVector, frame: str) -> Pose:
-    """Express a global-frame pose in the local frame defined by ``t``."""
-    s2 = t.t1**2 + t.t2**2
-    dx, dy = pose.x - t.t3, pose.y - t.t4
-    return Pose(
-        (t.t1 * dx + t.t2 * dy) / s2,
-        (-t.t2 * dx + t.t1 * dy) / s2,
-        pose.theta - math.atan2(t.t2, t.t1),
-        frame=frame,
-    )
-
-
 def write_trajectory_csv(
     path, result: ScanResult, frames: list[MeasurementFrame], config: ScenarioConfig
 ) -> None:
@@ -216,7 +203,10 @@ def write_trajectory_csv(
             transform = true_transform(config.cluster(cid))
             frame_name = local_frame(cid)
             for epoch, pose in result.local_trajectories[cid]:
-                t = _inverse_transform_pose(truth[epoch], transform, frame_name)
+                t = Pose(
+                    *inverse_transform_point(truth[epoch].as_array(), transform),
+                    frame=frame_name,
+                )
                 writer.writerow(
                     [epoch, frame_name, pose.x, pose.y, pose.theta, t.x, t.y, t.theta]
                 )

@@ -19,34 +19,14 @@ import numpy as np
 import yaml
 
 from .errors import ScenarioError
+from .geometry import Mode, wrap_angle
 
 GLOBAL_FRAME = "global"
-TWO_PI = 2.0 * math.pi
 
 
 def local_frame(cluster_id: str) -> str:
     """Frame identifier for a cluster's own reference system."""
     return f"local:{cluster_id}"
-
-
-def wrap_angle(theta: float) -> float:
-    """Wrap a scalar angle to (-pi, pi]."""
-    return float(np.pi - np.mod(np.pi - theta, TWO_PI))
-
-
-def wrap_angles(theta) -> np.ndarray:
-    """Elementwise wrap to (-pi, pi] for arrays."""
-    return np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), TWO_PI)
-
-
-class Mode(str, Enum):
-    """Positioning mode: absolute distances or differences vs. beacon 1."""
-
-    SPHERICAL = "spherical"
-    HYPERBOLIC = "hyperbolic"
-
-    def min_beacons(self) -> int:
-        return 3 if self is Mode.SPHERICAL else 4
 
 
 class UlpsKind(str, Enum):
@@ -100,6 +80,11 @@ class Beacon:
         return np.array([self.x, self.y])
 
 
+def beacon_array(beacons) -> np.ndarray:
+    """Beacon coordinates as an (I, 3) array."""
+    return np.array([[b.x, b.y, b.z] for b in beacons])
+
+
 @dataclass(frozen=True)
 class UlpsDescriptor:
     """One beacon cluster.
@@ -142,7 +127,7 @@ class UlpsDescriptor:
 
     def beacon_array(self) -> np.ndarray:
         """Beacon coordinates as an (I, 3) array, in the descriptor's frame."""
-        return np.array([[b.x, b.y, b.z] for b in self.beacons])
+        return beacon_array(self.beacons)
 
     def validate_for_mode(self, mode: Mode) -> None:
         need = mode.min_beacons()
@@ -167,9 +152,6 @@ class NoiseParams:
             object.__setattr__(self, name, value)
             if value < 0:
                 raise ScenarioError(f"noise.{name} must be >= 0, got {value}")
-
-    def zeroed(self) -> "NoiseParams":
-        return NoiseParams(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)

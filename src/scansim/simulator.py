@@ -15,17 +15,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import TransformVector, transform_point
+from .calibration import calibrate_beacons
 from .errors import ScenarioError
+from .geometry import Mode, TransformVector, observe, predict_ranges, process_model, wrap_angle
 from .scenario import (
     Beacon,
-    Mode,
     NoiseParams,
     Pose,
     ScenarioConfig,
     UlpsDescriptor,
+    beacon_array,
     in_coverage,
-    wrap_angle,
 )
 
 
@@ -91,14 +91,13 @@ def true_transform(u: UlpsDescriptor) -> TransformVector:
 
 
 def true_global_beacons(u: UlpsDescriptor) -> tuple[Beacon, ...]:
-    """Beacon positions in the map frame (ground truth; simulator only)."""
+    """Beacon positions in the map frame (ground truth; simulator only).
+
+    A locally referenced cluster is calibrated with its true transform.
+    """
     if u.is_global:
         return u.beacons
-    t = true_transform(u)
-    mapped = transform_point(np.array([[b.x, b.y] for b in u.beacons]), t)
-    return tuple(
-        Beacon(float(x), float(y), b.z) for (x, y), b in zip(mapped, u.beacons)
-    )
+    return calibrate_beacons(u, true_transform(u))
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +161,7 @@ def measure_odometry(
 def measure_ultrasound(
     p: Pose,
     u: UlpsDescriptor,
+    beacons: np.ndarray,
     z_mr: float,
     mode: Mode,
     noise: NoiseParams,
@@ -169,25 +169,19 @@ def measure_ultrasound(
 ) -> UsObservation:
     """Noisy ultrasound observation of one cluster from the true pose.
 
-    Distances are 3D emitter-receiver distances to the cluster's true global
-    beacon positions, each with independent Gaussian noise.  Hyperbolic
-    observations difference the *same* noisy distances against beacon 1,
-    which is what makes their errors correlated.
+    ``beacons`` is the (I, 3) array of the cluster's true beacon positions in
+    the map frame (see ``true_global_beacons``).  Distances are 3D
+    emitter-receiver distances to them, each with independent Gaussian
+    noise.  Hyperbolic observations difference the *same* noisy distances
+    against beacon 1, which is what makes their errors correlated.
     """
     if not in_coverage(p.xy, u):
         raise ScenarioError(
             f"point ({p.x:.3f}, {p.y:.3f}) is outside coverage of cluster '{u.id}'"
         )
-    beacons = true_global_beacons(u)
-    arr = np.array([[b.x, b.y, b.z] for b in beacons])
-    delta = p.xy[None, :] - arr[:, :2]
-    dists = np.sqrt(np.sum(delta**2, axis=1) + (z_mr - arr[:, 2]) ** 2)
+    dists = predict_ranges(p.xy, beacons, z_mr, Mode.SPHERICAL)
     noisy = dists + rng.normal(0.0, noise.sigma_us, size=len(dists))
-    if Mode(mode) is Mode.SPHERICAL:
-        values = noisy
-    else:
-        values = noisy[1:] - noisy[0]
-    return UsObservation(u.id, tuple(float(v) for v in values))
+    return UsObservation(u.id, tuple(float(v) for v in observe(noisy, mode)))
 
 
 def simulate(config: ScenarioConfig) -> list[MeasurementFrame]:
@@ -199,6 +193,7 @@ def simulate(config: ScenarioConfig) -> list[MeasurementFrame]:
     """
     rng = np.random.default_rng(config.seed)
     trajectory = generate_trajectory(config)
+    beacons = {u.id: beacon_array(true_global_beacons(u)) for u in config.ulps}
     frames = []
     for epoch, pose in enumerate(trajectory):
         if epoch == 0:
@@ -206,7 +201,9 @@ def simulate(config: ScenarioConfig) -> list[MeasurementFrame]:
         else:
             odo = measure_odometry(trajectory[epoch - 1], pose, config.noise, rng)
         observations = tuple(
-            measure_ultrasound(pose, u, config.z_mr, config.mode, config.noise, rng)
+            measure_ultrasound(
+                pose, u, beacons[u.id], config.z_mr, config.mode, config.noise, rng
+            )
             for u in config.ulps
             if in_coverage(pose.xy, u)
         )
@@ -222,17 +219,15 @@ def reverse_frames(frames: list[MeasurementFrame]) -> list[MeasurementFrame]:
     increments; no new noise is injected.  Observations are reused unchanged
     from the matching forward epochs.
     """
-    from .filters import process_model  # local import to avoid a module cycle
-
     if not frames:
         return []
-    dead_reckoned = [frames[0].true_pose]
+    dead_reckoned = [frames[0].true_pose.as_array()]
     for frame in frames[1:]:
         dead_reckoned.append(process_model(dead_reckoned[-1], frame.odo))
 
     n = len(frames)
-    rev_positions = [dead_reckoned[n - 1 - j].xy for j in range(n)]
-    thetas = [wrap_angle(dead_reckoned[-1].theta + math.pi)]
+    rev_positions = [dead_reckoned[n - 1 - j][:2] for j in range(n)]
+    thetas = [wrap_angle(dead_reckoned[-1][2] + math.pi)]
     odos = [OdometryIncrement(0.0, 0.0)]
     for j in range(1, n):
         step = rev_positions[j] - rev_positions[j - 1]

@@ -11,24 +11,24 @@ from dataclasses import replace
 
 import numpy as np
 
-from scansim.calibration import analytical_tc, inverse_trajectory_pass, transform_point
-from scansim.calibration import TransformVector
+from scansim.calibration import analytical_tc
 from scansim.cli import run_batch
 from scansim.filters import (
+    ClusterModel,
+    EkfParams,
+    FilterState,
+    HinfParams,
     MeasurementNoise,
     ProcessNoise,
     UkfParams,
-    ekf_step,
     ekf_step_core,
-    hinf_step,
+    filter_step,
     hinf_step_core,
-    measurement_jacobian,
-    predict_ranges,
-    ukf_step,
     ukf_step_core,
     ukf_weights,
 )
-from scansim.orchestrator import run_scan
+from scansim.geometry import TransformVector, predict_ranges, transform_point
+from scansim.orchestrator import inverse_trajectory_pass, run_scan
 from scansim.positioning import gauss_newton_fix
 from scansim.reporting import compute_cdf, percentile_from_cdf
 from scansim.scenario import Mode, NoiseParams, Pose, default_scenario
@@ -244,8 +244,8 @@ def test_criterion_8_numerical_property_suite():
     for mode in (Mode.SPHERICAL, Mode.HYPERBOLIC):
         for _ in range(100):
             x, y = rng.uniform(-4, 4, size=2)
-            jac = measurement_jacobian(Pose(x, y, 0.0), cluster, 0.5, mode)
             beacons = cluster.beacon_array()
+            _, jac = predict_ranges(Pose(x, y, 0.0).as_array(), beacons, 0.5, mode, jacobian=True)
             for j, step in enumerate(np.eye(2) * eps):
                 hi = predict_ranges(np.array([x, y]) + step, beacons, 0.5, mode)
                 lo = predict_ranges(np.array([x, y]) - step, beacons, 0.5, mode)
@@ -289,9 +289,9 @@ def test_criterion_8_numerical_property_suite():
     # covariance symmetry after every step of every filter
     q = ProcessNoise(0.03, 0.03, 0.02)
     r = MeasurementNoise.for_cluster(Mode.SPHERICAL, 0.005, 5)
-    from scansim.filters import FilterState
+    model = ClusterModel(cluster.beacon_array(), 0.5, Mode.SPHERICAL, r.matrix())
 
-    for step, kwargs in ((ekf_step, {}), (ukf_step, {"params": UkfParams()}), (hinf_step, {})):
+    for params in (EkfParams(), UkfParams(), HinfParams()):
         state = FilterState(Pose(-2.0, 0.1, 0.0), 0.01 * np.eye(3))
         truth = Pose(-2.0, 0.1, 0.0)
         for k in range(40):
@@ -299,12 +299,12 @@ def test_criterion_8_numerical_property_suite():
             truth = replace(truth, x=truth.x + 0.05)
             values = predict_ranges(truth.xy, cluster.beacon_array(), 0.5, Mode.SPHERICAL)
             obs = UsObservation("gr1", tuple(values + rng.normal(0, 0.005, 5)))
-            state = step(state, odo, obs, cluster, 0.5, Mode.SPHERICAL, q, r, **kwargs)
+            state = filter_step(state, odo, obs, model, q, params)
             if not np.allclose(state.P, state.P.T, atol=1e-15):
-                failures.append(f"{step.__name__} covariance asymmetric")
+                failures.append(f"{type(params).__name__} covariance asymmetric")
                 break
             if np.min(np.linalg.eigvalsh(state.P)) < -1e-10:
-                failures.append(f"{step.__name__} covariance indefinite")
+                failures.append(f"{type(params).__name__} covariance indefinite")
                 break
 
     check(8, "numerical property suite", not failures, "; ".join(failures) or

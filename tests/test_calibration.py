@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from scansim.calibration import (
     CorrespondenceLog,
-    TransformVector,
     accumulate_analytical,
     analytical_tc,
     beacon_error,
@@ -16,9 +15,9 @@ from scansim.calibration import (
     numerical_tc,
     per_beacon_errors,
     select_spread_points,
-    transform_point,
 )
 from scansim.errors import CalibrationError
+from scansim.geometry import TransformVector, inverse_transform_point, transform_point
 from scansim.scenario import Beacon
 from scansim.simulator import true_global_beacons, true_transform
 
@@ -60,6 +59,22 @@ class TestTransformPoint:
 
     def test_scale_property(self):
         assert TransformVector(3.0, 4.0, 0.0, 0.0).scale == pytest.approx(5.0)
+
+    @given(
+        scale=st.floats(0.5, 2.0),
+        angle=st.floats(-math.pi, math.pi),
+        tx=st.floats(-1e3, 1e3),
+        ty=st.floats(-1e3, 1e3),
+        x=st.floats(-100, 100),
+        y=st.floats(-100, 100),
+        theta=st.floats(-math.pi, math.pi),
+    )
+    @settings(max_examples=200)
+    def test_inverse_round_trip_property(self, scale, angle, tx, ty, x, y, theta):
+        t = TransformVector(scale * math.cos(angle), scale * math.sin(angle), tx, ty)
+        back = inverse_transform_point(transform_point((x, y, theta), t), t)
+        assert back[:2] == pytest.approx([x, y], rel=0.0, abs=1e-9)
+        assert back[2] == pytest.approx(theta, rel=0.0, abs=1e-12)
 
 
 class TestAnalyticalTc:

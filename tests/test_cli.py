@@ -101,9 +101,17 @@ class TestMonteCarloCommand:
         assert float(lines[-1].split(",")[1]) == pytest.approx(1.0)
 
     def test_invalid_runs_rejected(self, tmp_path):
-        assert run_cli(
-            "montecarlo", SCENARIO, "--runs", "0", "--out-dir", str(tmp_path / "x")
-        ) == 2
+        for command, flag, value in [
+            ("montecarlo", "--runs", "0"),
+            ("montecarlo", "--jobs", "0"),
+            ("montecarlo", "--jobs", "-3"),
+            ("sweep-dmin", "--runs", "0"),
+            ("sweep-dmin", "--jobs", "0"),
+            ("sweep-dmin", "--jobs", "-3"),
+        ]:
+            assert run_cli(
+                command, SCENARIO, flag, value, "--out-dir", str(tmp_path / "x")
+            ) == 2, (command, flag, value)
 
     def test_parallel_matches_serial(self):
         config = default_scenario(seed=40)

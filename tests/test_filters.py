@@ -5,69 +5,80 @@ import pytest
 
 from scansim.errors import FilterError
 from scansim.filters import (
+    ClusterModel,
+    EkfParams,
     FilterState,
     HinfParams,
     MeasurementNoise,
     ProcessNoise,
     UkfParams,
-    ekf_step,
     ekf_step_core,
-    hinf_step,
+    filter_step,
     hinf_step_core,
-    measurement_jacobian,
-    measurement_model,
-    process_jacobian,
-    process_model,
-    process_model_array,
-    predict_ranges,
     sigma_points,
-    ukf_step,
     ukf_step_core,
     ukf_weights,
 )
+from scansim.geometry import predict_ranges, process_model
 from scansim.scenario import Beacon, Mode, Pose, UlpsDescriptor, UlpsKind
 from scansim.simulator import OdometryIncrement, UsObservation
 
 Z_MR = 0.5
+
+#: Test ids of the three filter kinds, as these cases have always been named.
+KIND_IDS = ["ekf_step-kwargs0", "ukf_step-kwargs1", "hinf_step-kwargs2"]
 
 
 def make_state(x=0.0, y=0.0, theta=0.0, frame="global", p=0.01):
     return FilterState(Pose(x, y, theta, frame=frame), p * np.eye(3))
 
 
+def cluster_model(u, mode, r):
+    return ClusterModel(u.beacon_array(), Z_MR, mode, r.matrix())
+
+
+def measurement_model(pose, u, z_mr, mode):
+    return predict_ranges(pose.as_array(), u.beacon_array(), z_mr, mode)
+
+
+def measurement_jacobian(pose, u, z_mr, mode):
+    return predict_ranges(pose.as_array(), u.beacon_array(), z_mr, mode, jacobian=True)[1]
+
+
 class TestProcessModel:
     def test_straight(self):
-        out = process_model(Pose(0, 0, 0), OdometryIncrement(1.0, 0.0))
-        assert (out.x, out.y, out.theta) == pytest.approx((1.0, 0.0, 0.0))
+        out = process_model(Pose(0, 0, 0).as_array(), OdometryIncrement(1.0, 0.0))
+        assert tuple(out) == pytest.approx((1.0, 0.0, 0.0))
 
     def test_turn_applied_before_translation(self):
-        out = process_model(Pose(0, 0, 0), OdometryIncrement(1.0, math.pi / 2))
-        assert (out.x, out.y) == pytest.approx((0.0, 1.0), abs=1e-12)
-        assert out.theta == pytest.approx(math.pi / 2)
+        out = process_model(Pose(0, 0, 0).as_array(), OdometryIncrement(1.0, math.pi / 2))
+        assert tuple(out[:2]) == pytest.approx((0.0, 1.0), abs=1e-12)
+        assert out[2] == pytest.approx(math.pi / 2)
 
     def test_westward(self):
-        out = process_model(Pose(1, 1, math.pi), OdometryIncrement(2.0, 0.0))
-        assert (out.x, out.y) == pytest.approx((-1.0, 1.0), abs=1e-12)
-        assert out.theta == pytest.approx(math.pi)
+        out = process_model(Pose(1, 1, math.pi).as_array(), OdometryIncrement(2.0, 0.0))
+        assert tuple(out[:2]) == pytest.approx((-1.0, 1.0), abs=1e-12)
+        assert out[2] == pytest.approx(math.pi)
 
     def test_array_form_matches_pose_form(self):
+        # one pose (3,) and the same pose as a row of a batch (m, 3)
         odo = OdometryIncrement(0.7, -0.3)
         pose = Pose(0.4, -1.2, 2.9)
-        out = process_model(pose, odo)
-        arr = process_model_array(pose.as_array(), odo)
-        assert arr == pytest.approx([out.x, out.y, out.theta])
+        out = process_model(pose.as_array(), odo)
+        arr = process_model(np.array([[0.0, 0.0, 0.0], pose.as_array()]), odo)[1]
+        assert arr == pytest.approx(out)
 
     def test_jacobian_matches_finite_differences(self):
         odo = OdometryIncrement(0.8, 0.25)
         x0 = np.array([0.3, -0.7, 1.1])
-        jac = process_jacobian(Pose(*x0), odo)
+        _, jac = process_model(x0, odo, jacobian=True)
         eps = 1e-7
         for j in range(3):
             step = np.zeros(3)
             step[j] = eps
             fd = (
-                process_model_array(x0 + step, odo)
-                - process_model_array(x0 - step, odo)
+                process_model(x0 + step, odo)
+                - process_model(x0 - step, odo)
             ) / (2 * eps)
             assert jac[:, j] == pytest.approx(fd, abs=1e-6)
 
@@ -218,22 +229,24 @@ class TestZeroInnovation:
         state = make_state(1.0, 0.5, 0.3)
         odo = OdometryIncrement(0.1, 0.05)
         q, r = _noise_pair(Mode.SPHERICAL, 5)
-        predicted = process_model(state.pose, odo)
+        predicted = Pose(*process_model(state.pose.as_array(), odo))
         z = UsObservation(
             "gr", tuple(measurement_model(predicted, gr_cluster, Z_MR, Mode.SPHERICAL))
         )
-        out = ekf_step(state, odo, z, gr_cluster, Z_MR, Mode.SPHERICAL, q, r)
+        out = filter_step(state, odo, z, cluster_model(gr_cluster, Mode.SPHERICAL, r), q)
         assert out.pose.as_array() == pytest.approx(predicted.as_array(), abs=1e-12)
 
     def test_hinf_state_unchanged(self, gr_cluster):
         state = make_state(1.0, 0.5, 0.3)
         odo = OdometryIncrement(0.1, 0.05)
         q, r = _noise_pair(Mode.SPHERICAL, 5)
-        predicted = process_model(state.pose, odo)
+        predicted = Pose(*process_model(state.pose.as_array(), odo))
         z = UsObservation(
             "gr", tuple(measurement_model(predicted, gr_cluster, Z_MR, Mode.SPHERICAL))
         )
-        out = hinf_step(state, odo, z, gr_cluster, Z_MR, Mode.SPHERICAL, q, r)
+        out = filter_step(
+            state, odo, z, cluster_model(gr_cluster, Mode.SPHERICAL, r), q, HinfParams()
+        )
         assert out.pose.as_array() == pytest.approx(predicted.as_array(), abs=1e-12)
 
     def test_ukf_state_equals_prior_mean(self, gr_cluster):
@@ -244,25 +257,20 @@ class TestZeroInnovation:
         # replicate the unscented flow to obtain zhat, then feed it back:
         # the prediction-only step gives the prior, from which the update
         # redraws its sigma points
-        prior_only = ukf_step(
-            state, odo, None, None, Z_MR, Mode.SPHERICAL, q, None, params=params
-        )
+        prior_only = filter_step(state, odo, None, None, q, params)
         w_mean, _, lam = ukf_weights(params)
         pts = sigma_points(prior_only.pose.as_array(), prior_only.P, lam)
         predicted = predict_ranges(
             pts[:, :2], gr_cluster.beacon_array(), Z_MR, Mode.SPHERICAL
         )
         z_hat = w_mean @ predicted
-        out = ukf_step(
+        out = filter_step(
             state,
             odo,
             UsObservation("gr", tuple(z_hat)),
-            gr_cluster,
-            Z_MR,
-            Mode.SPHERICAL,
+            cluster_model(gr_cluster, Mode.SPHERICAL, r),
             q,
-            r,
-            params=params,
+            params,
         )
         assert out.pose.as_array() == pytest.approx(
             prior_only.pose.as_array(), abs=1e-9
@@ -270,22 +278,25 @@ class TestZeroInnovation:
 
 
 class TestPredictionOnly:
-    @pytest.mark.parametrize("step", [ekf_step, ukf_step, hinf_step])
-    def test_prediction_follows_odometry(self, step):
+    @pytest.mark.parametrize(
+        "params", [EkfParams(), UkfParams(), HinfParams()],
+        ids=["ekf_step", "ukf_step", "hinf_step"],
+    )
+    def test_prediction_follows_odometry(self, params):
         # negligible covariance so the unscented heading contraction vanishes
         state = make_state(0.0, 0.0, 0.0, p=1e-12)
         odo = OdometryIncrement(1.0, 0.0)
         q = ProcessNoise(0.01, 0.01, 0.01)
-        out = step(state, odo, None, None, Z_MR, Mode.SPHERICAL, q)
+        out = filter_step(state, odo, None, None, q, params)
         assert out.pose.x == pytest.approx(1.0)
 
     def test_ukf_prediction_contracts_with_heading_uncertainty(self):
         # the unscented mean of x + d*cos(theta) is d*(1 - P_theta/2) + O(P^2):
         # a real effect of heading uncertainty, not a bug
         state = make_state(0.0, 0.0, 0.0, p=0.01)
-        out = ukf_step(
-            state, OdometryIncrement(1.0, 0.0), None, None, Z_MR,
-            Mode.SPHERICAL, ProcessNoise(0.01, 0.01, 0.01),
+        out = filter_step(
+            state, OdometryIncrement(1.0, 0.0), None, None,
+            ProcessNoise(0.01, 0.01, 0.01), UkfParams(),
         )
         assert out.pose.x == pytest.approx(1.0 - 0.01 / 2, abs=1e-5)
 
@@ -294,25 +305,19 @@ class TestPredictionOnly:
         q = ProcessNoise(0.01, 0.01, 0.01)
         traces = [np.trace(state.P)]
         for _ in range(10):
-            state = ekf_step(
-                state, OdometryIncrement(0.1, 0.0), None, None, Z_MR,
-                Mode.SPHERICAL, q,
-            )
+            state = filter_step(state, OdometryIncrement(0.1, 0.0), None, None, q)
             traces.append(np.trace(state.P))
         assert all(b >= a - 1e-15 for a, b in zip(traces, traces[1:]))
 
 
 class TestZeroNoiseTracking:
     @pytest.mark.parametrize(
-        "step,kwargs,tol",
-        [
-            (ekf_step, {}, 1e-6),
-            (ukf_step, {"params": UkfParams()}, 1e-6),
-            (hinf_step, {"params": HinfParams()}, 1e-4),
-        ],
+        "params,tol",
+        [(EkfParams(), 1e-6), (UkfParams(), 1e-6), (HinfParams(), 1e-4)],
+        ids=["ekf_step-kwargs0-1e-06", "ukf_step-kwargs1-1e-06", "hinf_step-kwargs2-0.0001"],
     )
     @pytest.mark.parametrize("mode", [Mode.SPHERICAL, Mode.HYPERBOLIC])
-    def test_exact_init_tracks_truth(self, gr_cluster, step, kwargs, tol, mode):
+    def test_exact_init_tracks_truth(self, gr_cluster, params, tol, mode):
         # straight pass through the cluster, exact measurements, exact start:
         # the filters must follow the truth to within the stated tolerance
         q = ProcessNoise(1e-6, 1e-6, 1e-6)
@@ -321,13 +326,13 @@ class TestZeroNoiseTracking:
         state = FilterState(truth, 1e-12 * np.eye(3))
         worst = 0.0
         for _ in range(100):
-            new_truth = process_model(truth, OdometryIncrement(0.05, 0.0))
+            new_truth = Pose(*process_model(truth.as_array(), OdometryIncrement(0.05, 0.0)))
             z = UsObservation(
                 "gr", tuple(measurement_model(new_truth, gr_cluster, Z_MR, mode))
             )
-            state = step(
-                state, OdometryIncrement(0.05, 0.0), z, gr_cluster, Z_MR, mode, q, r,
-                **kwargs,
+            state = filter_step(
+                state, OdometryIncrement(0.05, 0.0), z, cluster_model(gr_cluster, mode, r),
+                q, params,
             )
             truth = new_truth
             worst = max(worst, float(np.hypot(*(state.pose.xy - truth.xy))))
@@ -396,9 +401,9 @@ class TestLinearModelCrossValidation:
             tuple(measurement_model(state.pose, gr_cluster, Z_MR, Mode.SPHERICAL)),
         )
         with pytest.raises(FilterError, match="aggressive"):
-            hinf_step(
-                state, odo, z, gr_cluster, Z_MR, Mode.SPHERICAL, q, r,
-                params=HinfParams(gamma=1e9),
+            filter_step(
+                state, odo, z, cluster_model(gr_cluster, Mode.SPHERICAL, r), q,
+                HinfParams(gamma=1e9),
             )
 
 
@@ -407,10 +412,9 @@ class TestFrameTranslationCommutes:
     # weights whose cancellation leaves ~1e-7 floating-point noise in the
     # update (prediction-only commutation still holds at 1e-9 regardless)
     @pytest.mark.parametrize(
-        "step,kwargs",
-        [(ekf_step, {}), (ukf_step, {"params": UkfParams(alpha=0.1)}), (hinf_step, {})],
+        "params", [EkfParams(), UkfParams(alpha=0.1), HinfParams()], ids=KIND_IDS
     )
-    def test_translation_equivariance(self, gr_cluster, step, kwargs):
+    def test_translation_equivariance(self, gr_cluster, params):
         shift = np.array([7.0, -3.0])
         moved_cluster = UlpsDescriptor(
             "gr",
@@ -429,13 +433,13 @@ class TestFrameTranslationCommutes:
             (UsObservation("gr", z_values), UsObservation("gr", z_values)),
         ]:
             obs, obs_moved = obs_pair
-            a = step(
-                state, odo, obs, gr_cluster if obs else None, Z_MR,
-                Mode.SPHERICAL, q, r if obs else None, **kwargs,
+            a = filter_step(
+                state, odo, obs,
+                cluster_model(gr_cluster, Mode.SPHERICAL, r) if obs else None, q, params,
             )
-            b = step(
-                moved, odo, obs_moved, moved_cluster if obs else None, Z_MR,
-                Mode.SPHERICAL, q, r if obs else None, **kwargs,
+            b = filter_step(
+                moved, odo, obs_moved,
+                cluster_model(moved_cluster, Mode.SPHERICAL, r) if obs else None, q, params,
             )
             # prediction-only steps commute to 1e-9; update steps with the
             # tiny-alpha sigma weights (+-1e6 with cancellation) keep a bit
@@ -449,24 +453,23 @@ class TestFrameTranslationCommutes:
 
 class TestCovarianceHygiene:
     @pytest.mark.parametrize(
-        "step,kwargs",
-        [(ekf_step, {}), (ukf_step, {"params": UkfParams()}), (hinf_step, {})],
+        "params", [EkfParams(), UkfParams(), HinfParams()], ids=KIND_IDS
     )
-    def test_symmetric_psd_after_noisy_sequence(self, gr_cluster, step, kwargs):
+    def test_symmetric_psd_after_noisy_sequence(self, gr_cluster, params):
         rng = np.random.default_rng(8)
         q, r = _noise_pair(Mode.SPHERICAL, 5)
         state = make_state(-2.0, 0.5, 0.1)
         truth = Pose(-2.0, 0.5, 0.1)
         for k in range(60):
             odo = OdometryIncrement(0.05 + rng.normal(0, 0.01), rng.normal(0, 0.01))
-            truth = process_model(truth, odo)
+            truth = Pose(*process_model(truth.as_array(), odo))
             obs = None
             if k % 3 != 0:
                 values = measurement_model(truth, gr_cluster, Z_MR, Mode.SPHERICAL)
                 obs = UsObservation("gr", tuple(values + rng.normal(0, 0.005, 5)))
-            state = step(
-                state, odo, obs, gr_cluster if obs else None, Z_MR,
-                Mode.SPHERICAL, q, r if obs else None, **kwargs,
+            state = filter_step(
+                state, odo, obs,
+                cluster_model(gr_cluster, Mode.SPHERICAL, r) if obs else None, q, params,
             )
             assert state.P == pytest.approx(state.P.T, abs=1e-15)
             assert np.min(np.linalg.eigvalsh(state.P)) >= -1e-10
@@ -474,8 +477,6 @@ class TestCovarianceHygiene:
     def test_theta_stays_wrapped_across_pi(self):
         state = make_state(0.0, 0.0, 3.1)
         q = ProcessNoise(0.01, 0.01, 0.01)
-        out = ekf_step(
-            state, OdometryIncrement(0.1, 0.2), None, None, Z_MR, Mode.SPHERICAL, q
-        )
+        out = filter_step(state, OdometryIncrement(0.1, 0.2), None, None, q)
         assert -math.pi < out.pose.theta <= math.pi
         assert out.pose.theta == pytest.approx(3.3 - 2 * math.pi)

@@ -117,7 +117,8 @@ class TestGaussNewtonFix:
         errors = []
         for _ in range(1000):
             obs = measure_ultrasound(
-                Pose(2.0, 1.0, 0.0), cluster5, Z_MR, Mode.SPHERICAL, noise, rng
+                Pose(2.0, 1.0, 0.0), cluster5, cluster5.beacon_array(), Z_MR,
+                Mode.SPHERICAL, noise, rng,
             )
             fix = gauss_newton_fix(obs, cluster5, Z_MR, Mode.SPHERICAL)
             errors.append(math.hypot(fix.position[0] - 2.0, fix.position[1] - 1.0))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from scansim.errors import ScenarioError
-from scansim.filters import process_model
-from scansim.scenario import Mode, NoiseParams, Pose, in_coverage
+from scansim.geometry import process_model
+from scansim.scenario import Mode, NoiseParams, Pose, beacon_array, in_coverage
 from scansim.simulator import (
     MeasurementFrame,
     OdometryIncrement,
@@ -98,21 +98,24 @@ class TestMeasureOdometry:
 class TestMeasureUltrasound:
     def test_directly_below_beacon(self, zero_noise, rng, gr_cluster):
         obs = measure_ultrasound(
-            Pose(0, 0, 0), gr_cluster, 0.0, Mode.SPHERICAL, zero_noise, rng
+            Pose(0, 0, 0), gr_cluster, gr_cluster.beacon_array(), 0.0, Mode.SPHERICAL,
+            zero_noise, rng,
         )
         # fifth beacon sits at the cluster center, straight above the robot
         assert obs.values[4] == pytest.approx(3.5)
 
     def test_known_3d_distance(self, zero_noise, rng, gr_cluster):
         sq34 = measure_ultrasound(
-            Pose(-3.0, -4.0, 0.0), gr_cluster, 0.5, Mode.SPHERICAL, zero_noise, rng
+            Pose(-3.0, -4.0, 0.0), gr_cluster, gr_cluster.beacon_array(), 0.5,
+            Mode.SPHERICAL, zero_noise, rng,
         )
         # center beacon: horizontal offset (3, 4), vertical 3.0 -> sqrt(34)
         assert sq34.values[4] == pytest.approx(math.sqrt(34.0))
 
     def test_hyperbolic_symmetry_gives_zero(self, zero_noise, rng, gr_cluster):
         obs = measure_ultrasound(
-            Pose(0, 0, 0), gr_cluster, 0.5, Mode.HYPERBOLIC, zero_noise, rng
+            Pose(0, 0, 0), gr_cluster, gr_cluster.beacon_array(), 0.5, Mode.HYPERBOLIC,
+            zero_noise, rng,
         )
         # all four corners are equidistant from the center: differences vanish
         assert obs.values[:3] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
@@ -121,7 +124,8 @@ class TestMeasureUltrasound:
     def test_outside_coverage_rejected(self, zero_noise, rng, gr_cluster):
         with pytest.raises(ScenarioError, match="outside coverage"):
             measure_ultrasound(
-                Pose(10, 0, 0), gr_cluster, 0.5, Mode.SPHERICAL, zero_noise, rng
+                Pose(10, 0, 0), gr_cluster, gr_cluster.beacon_array(), 0.5,
+                Mode.SPHERICAL, zero_noise, rng,
             )
 
     def test_hyperbolic_is_difference_of_same_noisy_distances(
@@ -129,11 +133,14 @@ class TestMeasureUltrasound:
     ):
         noise = NoiseParams(0.0, 0.0, 0.005)
         pose = Pose(6.0, 2.0, 0.0)
+        beacons = beacon_array(true_global_beacons(lr_cluster))
         sph = measure_ultrasound(
-            pose, lr_cluster, 0.5, Mode.SPHERICAL, noise, np.random.default_rng(7)
+            pose, lr_cluster, beacons, 0.5, Mode.SPHERICAL, noise,
+            np.random.default_rng(7),
         )
         hyp = measure_ultrasound(
-            pose, lr_cluster, 0.5, Mode.HYPERBOLIC, noise, np.random.default_rng(7)
+            pose, lr_cluster, beacons, 0.5, Mode.HYPERBOLIC, noise,
+            np.random.default_rng(7),
         )
         expected = [v - sph.values[0] for v in sph.values[1:]]
         assert hyp.values == pytest.approx(expected, abs=1e-15)
@@ -204,7 +211,7 @@ class TestSimulate:
         frames = simulate(quiet_config)
         pose = frames[0].true_pose
         for frame in frames[1:]:
-            pose = process_model(pose, frame.odo)
+            pose = Pose(*process_model(pose.as_array(), frame.odo))
             assert abs(pose.x - frame.true_pose.x) < 1e-12
             assert abs(pose.y - frame.true_pose.y) < 1e-12
             assert abs(pose.theta - frame.true_pose.theta) < 1e-12
@@ -218,11 +225,11 @@ class TestReverseFrames:
         # replays the same positions in reverse order exactly
         forward = [frames[0].true_pose]
         for frame in frames[1:]:
-            forward.append(process_model(forward[-1], frame.odo))
+            forward.append(Pose(*process_model(forward[-1].as_array(), frame.odo)))
         pose = Pose(forward[-1].x, forward[-1].y, forward[-1].theta + math.pi)
         for j, frame in enumerate(reversed_stream):
             if j > 0:
-                pose = process_model(pose, frame.odo)
+                pose = Pose(*process_model(pose.as_array(), frame.odo))
             target = forward[len(frames) - 1 - j]
             assert abs(pose.x - target.x) < 1e-12
             assert abs(pose.y - target.y) < 1e-12
