@@ -54,6 +54,43 @@ class CorrespondenceLog:
         )
 
 
+#: Most (point, earlier point) distances ``accumulate_analytical`` holds at
+#: once; longer logs are scanned in blocks of rows.
+PAIR_BLOCK = 1 << 16
+
+
+def _solve_pairs(la, ga, lb, gb) -> np.ndarray:
+    """Transforms solved exactly from point pairs, one row per pair.
+
+    Row i of each (m, 2) array belongs to pair i: local points ``la``,
+    ``lb`` and their global counterparts ``ga``, ``gb``.  Each pair gives
+    the 4x4 system
+
+        [x_a, -y_a, 1, 0]            [gx_a]
+        [y_a,  x_a, 0, 1]  (t1..t4) = [gy_a]
+        [x_b, -y_b, 1, 0]            [gx_b]
+        [y_b,  x_b, 0, 1]            [gy_b]
+
+    which is singular iff the two local points coincide; all m are solved
+    in one stacked call.
+    """
+    if np.isclose(la, lb, rtol=0.0, atol=1e-12).all(axis=1).any():
+        raise CalibrationError("coincident local points: transform is underdetermined")
+    systems = np.zeros((len(la), 4, 4))
+    for row, p in ((0, la), (2, lb)):
+        systems[:, row, 0] = p[:, 0]
+        systems[:, row, 1] = -p[:, 1]
+        systems[:, row + 1, 0] = p[:, 1]
+        systems[:, row + 1, 1] = p[:, 0]
+    systems[:, (0, 2), 2] = 1.0
+    systems[:, (1, 3), 3] = 1.0
+    targets = np.concatenate([ga, gb], axis=1)[..., None]
+    try:
+        return np.linalg.solve(systems, targets)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise CalibrationError(f"singular correspondence system: {exc}") from exc
+
+
 def analytical_tc(pair_a, pair_b) -> TransformVector:
     """Solve the transform exactly from two (local, global) point pairs.
 
@@ -61,24 +98,24 @@ def analytical_tc(pair_a, pair_b) -> TransformVector:
     the two local points coincide.
     """
     (la, ga), (lb, gb) = pair_a, pair_b
-    la = np.asarray(la, dtype=float)
-    lb = np.asarray(lb, dtype=float)
-    if np.allclose(la, lb, rtol=0.0, atol=1e-12):
-        raise CalibrationError("coincident local points: transform is underdetermined")
-    t_a = np.array(
-        [
-            [la[0], -la[1], 1.0, 0.0],
-            [la[1], la[0], 0.0, 1.0],
-            [lb[0], -lb[1], 1.0, 0.0],
-            [lb[1], lb[0], 0.0, 1.0],
-        ]
-    )
-    t_b = np.array([ga[0], ga[1], gb[0], gb[1]], dtype=float)
-    try:
-        solution = np.linalg.solve(t_a, t_b)
-    except np.linalg.LinAlgError as exc:
-        raise CalibrationError(f"singular correspondence system: {exc}") from exc
-    return TransformVector.from_array(solution)
+    rows = [np.asarray(p, dtype=float).reshape(1, 2) for p in (la, ga, lb, gb)]
+    return TransformVector.from_array(_solve_pairs(*rows)[0])
+
+
+def _last_separated(points: np.ndarray, d_min: float) -> np.ndarray:
+    """For each point k, the index of the last earlier point at distance
+    >= ``d_min`` from it, or -1 where there is none."""
+    n = len(points)
+    index = np.arange(n)
+    last = np.full(n, -1)
+    block = max(1, PAIR_BLOCK // max(n, 1))
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        delta = points[None, :stop] - points[start:stop, None]
+        dists = np.hypot(delta[..., 0], delta[..., 1])
+        earlier = index[:stop] < index[start:stop, None]
+        last[start:stop] = np.where(earlier & (dists >= d_min), index[:stop], -1).max(axis=1)
+    return last
 
 
 def accumulate_analytical(log: CorrespondenceLog, d_min: float) -> TransformVector:
@@ -90,23 +127,14 @@ def accumulate_analytical(log: CorrespondenceLog, d_min: float) -> TransformVect
     mean of all per-epoch transforms.
     """
     local_pts, global_pts = log.arrays()
-    estimates = []
-    for k in range(1, len(local_pts)):
-        newest = local_pts[k]
-        dists = np.hypot(*(local_pts[:k] - newest).T)
-        qualifying = np.nonzero(dists >= d_min)[0]
-        if qualifying.size == 0:
-            continue
-        j = int(qualifying[-1])
-        estimates.append(
-            analytical_tc(
-                (local_pts[j], global_pts[j]), (local_pts[k], global_pts[k])
-            ).as_array()
-        )
-    if not estimates:
+    last = _last_separated(local_pts, d_min)
+    k = np.nonzero(last >= 0)[0]
+    if k.size == 0:
         raise CalibrationError(
             f"cluster '{log.cluster_id}': no point pair separated by d_min={d_min}"
         )
+    j = last[k]
+    estimates = _solve_pairs(local_pts[j], global_pts[j], local_pts[k], global_pts[k])
     return TransformVector.from_array(np.mean(estimates, axis=0))
 
 

@@ -160,7 +160,10 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_sweep_dmin(args) -> int:
     _check_batch_args(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ScanError(f"--values must list numbers: {exc}") from exc
     if not values:
         raise ScanError("--values must list at least one d_min")
     if any(v <= 0 for v in values):

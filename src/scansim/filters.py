@@ -2,17 +2,20 @@
 
 All three filters estimate the same 3-state vector [x, y, theta] from
 odometry increments and per-cluster ultrasound observations.  Each filter is
-implemented as a generic core operating on arrays and model callables; one
-pose-level step (``filter_step``) binds the motion and range models of
-``geometry`` to whichever core the filter's parameter object selects.  The
-generic cores are the single code path for both the robot problem and the
-linear cross-validation fixtures in the test suite.
+implemented as a generic core operating on arrays and model callables; the
+EKF and H-infinity cores are a prediction followed by an update half
+(``ekf_update``, ``hinf_update``).  One pose-level step (``filter_step``)
+hands the pose to the step of the filter's parameter object, which evaluates
+the motion and range models of ``geometry`` once and runs its filter's core,
+or the core's update half with the prediction already made.  The generic
+cores serve the linear cross-validation fixtures in the test suite and are
+the reference the pose-level steps are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,9 +108,19 @@ class UkfParams:
             )
         return self.alpha**2 * (state_dim + self.kappa) - state_dim
 
-    def core(self, x, P, f, F, z, h, H, Q, R):
-        """Unscented step on a pose state; the Jacobians F and H go unused."""
-        return ukf_step_core(x, P, f, z, h, Q, R, self, angle_idx=THETA_INDEX)
+    def step(self, x, P, odo, z, cluster, Q):
+        """Unscented step on a pose state; the models need no Jacobians."""
+        return ukf_step_core(
+            x,
+            P,
+            lambda points: process_model(points, odo),
+            z,
+            lambda points: predict_ranges(points, cluster.beacons, cluster.z_mr, cluster.mode),
+            Q,
+            cluster.R if z is not None else None,
+            self,
+            angle_idx=THETA_INDEX,
+        )
 
 
 @dataclass(frozen=True)
@@ -120,18 +133,33 @@ class HinfParams:
         if not self.gamma > 0:
             raise FilterError("gamma must be > 0")
 
-    def core(self, x, P, f, F, z, h, H, Q, R):
-        """H-infinity step on a pose state."""
-        return hinf_step_core(x, P, f, F, z, h, H, Q, R, self.gamma, angle_idx=THETA_INDEX)
+    def step(self, x, P, odo, z, cluster, Q):
+        """H-infinity step on a pose state, with the cluster's bound R^-1."""
+        x_prior, A = _pose_prior(x, odo)
+        if z is None:
+            return x_prior, _propagate(A, P, Q)
+        z_hat, jac = predict_ranges(
+            x_prior, cluster.beacons, cluster.z_mr, cluster.mode, jacobian=True
+        )
+        return hinf_update(
+            x_prior, P, A, z, z_hat, jac, Q, cluster.R_inv, self.gamma, THETA_INDEX
+        )
 
 
 @dataclass(frozen=True)
 class EkfParams:
     """The extended Kalman filter, which has no tuning of its own."""
 
-    def core(self, x, P, f, F, z, h, H, Q, R):
+    def step(self, x, P, odo, z, cluster, Q):
         """Extended-Kalman step on a pose state."""
-        return ekf_step_core(x, P, f, F, z, h, H, Q, R, angle_idx=THETA_INDEX)
+        x_prior, F = _pose_prior(x, odo)
+        P_prior = _propagate(F, P, Q)
+        if z is None:
+            return x_prior, P_prior
+        z_hat, jac = predict_ranges(
+            x_prior, cluster.beacons, cluster.z_mr, cluster.mode, jacobian=True
+        )
+        return ekf_update(x_prior, P_prior, z, z_hat, jac, cluster.R, THETA_INDEX)
 
 
 @dataclass(frozen=True)
@@ -140,24 +168,30 @@ class ClusterModel:
 
     ``beacons`` is the (I, 3) beacon array in the filter's frame, ``z_mr``
     the receiver height and ``R`` the observation covariance (see
-    ``MeasurementNoise``).
+    ``MeasurementNoise``).  ``R_inv`` is its inverse, for the H-infinity
+    update, computed once when the model is built.
     """
 
     beacons: np.ndarray
     z_mr: float
     mode: Mode
     R: np.ndarray
+    R_inv: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "R_inv", np.linalg.inv(self.R))
 
 
 @dataclass
 class FilterState:
-    """State estimate and covariance for one reference frame."""
+    """State estimate and (3, 3) covariance for one reference frame.
+
+    ``P`` is kept as given, not copied: the filter steps never write into a
+    covariance, they return a new one.
+    """
 
     pose: Pose
     P: np.ndarray
-
-    def __post_init__(self):
-        self.P = np.array(self.P, dtype=float).reshape(STATE_DIM, STATE_DIM)
 
     @property
     def frame(self) -> str:
@@ -179,23 +213,37 @@ def _wrap_component(x: np.ndarray, angle_idx) -> np.ndarray:
     return x
 
 
-def ekf_step_core(x, P, f, F, z, h, H, Q, R, angle_idx=None):
-    """One extended-Kalman step; ``z`` may be None for prediction only."""
-    x = np.asarray(x, dtype=float)
-    x_prior = _wrap_component(np.asarray(f(x), dtype=float), angle_idx)
-    P_prior = _symmetrize(F @ P @ F.T + Q)
-    if z is None:
-        return x_prior, P_prior
-    jac = np.asarray(H(x_prior), dtype=float)
-    innovation = np.asarray(z, dtype=float) - np.asarray(h(x_prior), dtype=float)
+def _propagate(F, P, Q):
+    """Prior covariance F P F^T + Q of a linearized prediction."""
+    return _symmetrize(F @ P @ F.T + Q)
+
+
+def ekf_update(x_prior, P_prior, z, z_hat, jac, R, angle_idx=None):
+    """Extended-Kalman update of a prior by the observation ``z``, given its
+    prediction ``z_hat`` and Jacobian ``jac`` at the prior mean."""
+    innovation = z - z_hat
     S = jac @ P_prior @ jac.T + R
     try:
         gain = np.linalg.solve(S, jac @ P_prior).T
     except np.linalg.LinAlgError as exc:
         raise FilterError(f"innovation covariance not invertible: {exc}") from exc
     x_post = _wrap_component(x_prior + gain @ innovation, angle_idx)
-    P_post = _symmetrize((np.eye(len(x)) - gain @ jac) @ P_prior)
+    P_post = _symmetrize((np.eye(len(x_prior)) - gain @ jac) @ P_prior)
     return x_post, P_post
+
+
+def ekf_step_core(x, P, f, F, z, h, H, Q, R, angle_idx=None):
+    """One extended-Kalman step; ``z`` may be None for prediction only."""
+    x = np.asarray(x, dtype=float)
+    x_prior = _wrap_component(np.asarray(f(x), dtype=float), angle_idx)
+    P_prior = _propagate(F, P, Q)
+    if z is None:
+        return x_prior, P_prior
+    jac = np.asarray(H(x_prior), dtype=float)
+    z_hat = np.asarray(h(x_prior), dtype=float)
+    return ekf_update(
+        x_prior, P_prior, np.asarray(z, dtype=float), z_hat, jac, R, angle_idx
+    )
 
 
 def ukf_weights(params: UkfParams, state_dim: int = STATE_DIM):
@@ -290,6 +338,29 @@ def ukf_step_core(x, P, f_points, z, h_points, Q, R, params: UkfParams, angle_id
     return x_post, P_post
 
 
+def hinf_update(x_prior, P, A, z, z_hat, jac, Q, R_inv, gamma: float, angle_idx=None):
+    """H-infinity update of the predicted mean ``x_prior`` by the observation
+    ``z``, given its prediction ``z_hat`` and Jacobian ``jac`` there, the
+    previous covariance ``P``, the motion Jacobian ``A`` and R^-1."""
+    try:
+        P_inv = np.linalg.inv(P)
+    except np.linalg.LinAlgError as exc:
+        raise FilterError(f"state covariance not invertible: {exc}") from exc
+    M = P_inv - gamma * np.eye(len(x_prior)) + jac.T @ R_inv @ jac
+    try:
+        np.linalg.cholesky(_symmetrize(M))
+    except np.linalg.LinAlgError as exc:
+        raise FilterError(
+            f"gamma={gamma} too aggressive: existence condition violated"
+        ) from exc
+    M_inv = np.linalg.inv(M)
+    gain = A @ M_inv @ jac.T @ R_inv
+    innovation = z - z_hat
+    x_post = _wrap_component(x_prior + gain @ innovation, angle_idx)
+    P_post = _symmetrize(A @ M_inv @ A.T + Q)
+    return x_post, P_post
+
+
 def hinf_step_core(x, P, f, A, z, h, H, Q, R, gamma: float, angle_idx=None):
     """One H-infinity step in information form.
 
@@ -301,44 +372,42 @@ def hinf_step_core(x, P, f, A, z, h, H, Q, R, gamma: float, angle_idx=None):
     x = np.asarray(x, dtype=float)
     x_prior = _wrap_component(np.asarray(f(x), dtype=float), angle_idx)
     if z is None:
-        return x_prior, _symmetrize(A @ P @ A.T + Q)
+        return x_prior, _propagate(A, P, Q)
     jac = np.asarray(H(x_prior), dtype=float)
-    R_inv = np.linalg.inv(R)
-    try:
-        P_inv = np.linalg.inv(P)
-    except np.linalg.LinAlgError as exc:
-        raise FilterError(f"state covariance not invertible: {exc}") from exc
-    M = P_inv - gamma * np.eye(len(x)) + jac.T @ R_inv @ jac
-    try:
-        np.linalg.cholesky(_symmetrize(M))
-    except np.linalg.LinAlgError as exc:
-        raise FilterError(
-            f"gamma={gamma} too aggressive: existence condition violated"
-        ) from exc
-    M_inv = np.linalg.inv(M)
-    gain = A @ M_inv @ jac.T @ R_inv
-    innovation = np.asarray(z, dtype=float) - np.asarray(h(x_prior), dtype=float)
-    x_post = _wrap_component(x_prior + gain @ innovation, angle_idx)
-    P_post = _symmetrize(A @ M_inv @ A.T + Q)
-    return x_post, P_post
+    z_hat = np.asarray(h(x_prior), dtype=float)
+    return hinf_update(
+        x_prior, P, A, np.asarray(z, dtype=float), z_hat, jac, Q,
+        np.linalg.inv(R), gamma, angle_idx,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Pose-level filter step
 # ---------------------------------------------------------------------------
 
+def _pose_prior(x, odo):
+    """Predicted pose (heading wrapped) and motion Jacobian from one model
+    evaluation."""
+    x_pred, F = process_model(x, odo, jacobian=True)
+    return _wrap_component(x_pred, THETA_INDEX), F
+
+
 def filter_step(
     state: FilterState,
     odo: OdometryIncrement,
     obs: UsObservation | None,
     cluster: ClusterModel | None,
-    process_noise: ProcessNoise,
+    Q: np.ndarray,
     params: EkfParams | UkfParams | HinfParams = EkfParams(),
 ) -> FilterState:
     """One step of the filter that ``params`` selects.
 
+    ``Q`` is the per-epoch process covariance (``ProcessNoise.matrix()``).
     Prediction only when ``obs`` is None; otherwise ``cluster`` describes
-    the observed cluster in the frame of ``state``.
+    the observed cluster in the frame of ``state``.  Each kind evaluates the
+    motion and range models once per step; its result equals that of its
+    generic core (``ekf_step_core``, ``ukf_step_core``, ``hinf_step_core``)
+    called with the same models as callables.
     """
     z = None
     if obs is not None:
@@ -349,20 +418,7 @@ def filter_step(
             raise FilterError(
                 f"observation dimension {len(z)} != noise dimension {len(cluster.R)}"
             )
-    x = state.pose.as_array()
-    x, P = params.core(
-        x,
-        state.P,
-        f=lambda s: process_model(s, odo),
-        F=process_model(x, odo, jacobian=True)[1],
-        z=z,
-        h=lambda s: predict_ranges(s, cluster.beacons, cluster.z_mr, cluster.mode),
-        H=lambda s: predict_ranges(
-            s, cluster.beacons, cluster.z_mr, cluster.mode, jacobian=True
-        )[1],
-        Q=process_noise.matrix(),
-        R=cluster.R if z is not None else None,
-    )
+    x, P = params.step(state.pose.as_array(), state.P, odo, z, cluster, Q)
     return FilterState(Pose(x[0], x[1], x[2], frame=state.frame), P)
 
 

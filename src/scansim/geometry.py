@@ -71,18 +71,19 @@ def predict_ranges(points, beacons: np.ndarray, z_mr: float, mode: Mode, jacobia
     distance from a beacon, where they are undefined (cannot happen for a
     receiver below ceiling-mounted beacons).
     """
+    mode = Mode(mode)
     points = np.asarray(points, dtype=float)
     delta = points[..., None, :2] - beacons[:, :2]
     dz = z_mr - beacons[:, 2]
-    dists = np.sqrt(np.sum(delta**2, axis=-1) + dz**2)
+    dists = np.sqrt((delta**2).sum(axis=-1) + dz**2)
     values = observe(dists, mode)
     if not jacobian:
         return values
-    if np.any(dists <= 0.0):
+    if (dists <= 0.0).any():
         raise FilterError("zero emitter-receiver distance: Jacobian undefined")
     rows = np.zeros(dists.shape + points.shape[-1:])
     rows[..., :2] = delta / dists[..., None]
-    if Mode(mode) is Mode.HYPERBOLIC:
+    if mode is Mode.HYPERBOLIC:
         rows = rows[..., 1:, :] - rows[..., :1, :]
     return values, rows
 
@@ -102,8 +103,8 @@ def process_model(state, odo, jacobian: bool = False):
         y'     = y + dd * sin(theta')
 
     The propagated heading is wrapped to (-pi, pi].  With ``jacobian=True``
-    also returns the derivative of the propagated state w.r.t. the previous
-    one, shape (..., 3, 3).
+    also returns the (3, 3) derivative of the propagated pose w.r.t. the
+    previous one; the Jacobian is defined for one pose only.
     """
     state = np.asarray(state, dtype=float)
     theta = state[..., 2] + odo.delta_theta
@@ -114,9 +115,11 @@ def process_model(state, odo, jacobian: bool = False):
     out[..., 2] = wrap_angles(theta)
     if not jacobian:
         return out
-    jac = np.broadcast_to(np.eye(3), state.shape + (3,)).copy()
-    jac[..., 0, 2] = -odo.delta_d * sin
-    jac[..., 1, 2] = odo.delta_d * cos
+    if state.ndim != 1:
+        raise ValueError("the motion Jacobian is defined for one pose (3,)")
+    jac = np.eye(3)
+    jac[0, 2] = -odo.delta_d * sin
+    jac[1, 2] = odo.delta_d * cos
     return out, jac
 
 
@@ -167,10 +170,12 @@ def transform_point(p, t: TransformVector) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     x, y = p[..., 0], p[..., 1]
-    mapped = [x * t.t1 - y * t.t2 + t.t3, y * t.t1 + x * t.t2 + t.t4]
+    out = np.empty(p.shape[:-1] + (3 if p.shape[-1] == 3 else 2,))
+    out[..., 0] = x * t.t1 - y * t.t2 + t.t3
+    out[..., 1] = y * t.t1 + x * t.t2 + t.t4
     if p.shape[-1] == 3:
-        mapped.append(p[..., 2] + math.atan2(t.t2, t.t1))
-    return np.stack(mapped, axis=-1)
+        out[..., 2] = p[..., 2] + math.atan2(t.t2, t.t1)
+    return out
 
 
 def inverse_transform_point(p, t: TransformVector) -> np.ndarray:
@@ -179,7 +184,9 @@ def inverse_transform_point(p, t: TransformVector) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     s2 = t.t1**2 + t.t2**2
     dx, dy = p[..., 0] - t.t3, p[..., 1] - t.t4
-    local = [(t.t1 * dx + t.t2 * dy) / s2, (-t.t2 * dx + t.t1 * dy) / s2]
+    out = np.empty(p.shape[:-1] + (3 if p.shape[-1] == 3 else 2,))
+    out[..., 0] = (t.t1 * dx + t.t2 * dy) / s2
+    out[..., 1] = (-t.t2 * dx + t.t1 * dy) / s2
     if p.shape[-1] == 3:
-        local.append(p[..., 2] - math.atan2(t.t2, t.t1))
-    return np.stack(local, axis=-1)
+        out[..., 2] = p[..., 2] - math.atan2(t.t2, t.t1)
+    return out

@@ -80,10 +80,14 @@ class ScanState:
 
     ``models`` holds each cluster's ``ClusterModel`` in the frame of the
     filter it anchors: the cluster's own frame until it is promoted, the map
-    frame from then on.
+    frame from then on.  ``anchor_centers`` holds the map-frame centre of
+    each cluster that can anchor the global filter: the coverage centre of a
+    globally referenced cluster, the mean of the calibrated beacons of a
+    promoted one.
     """
 
     models: dict
+    anchor_centers: dict
     global_filter: FilterState | None = None
     local_filters: dict = field(default_factory=dict)
     calibrated: dict = field(default_factory=dict)
@@ -115,11 +119,14 @@ class ScanResult:
 
 @dataclass(frozen=True)
 class _RunParams:
+    """What one run binds once: the scenario, the estimator and its tuning,
+    and the process covariance ``Q`` every filter step uses."""
+
     config: ScenarioConfig
     filter_kind: str
     method: str
-    process_noise: ProcessNoise
     filter_params: EkfParams | UkfParams | HinfParams
+    Q: np.ndarray
     bootstrap_sigma_xy: float = BOOTSTRAP_SIGMA_XY
     bootstrap_sigma_theta: float = BOOTSTRAP_SIGMA_THETA
 
@@ -139,12 +146,8 @@ class _RunParams:
 
     def step_filter(self, state: FilterState, odo, obs, cluster: ClusterModel | None):
         return FILTER_STEPS[self.filter_kind](
-            state, odo, obs, cluster, self.process_noise, self.filter_params
+            state, odo, obs, cluster, self.Q, self.filter_params
         )
-
-
-def _estimated_center(record: CalibrationRecord) -> np.ndarray:
-    return np.mean([[b.x, b.y] for b in record.beacons], axis=0)
 
 
 def _finalize_cluster(
@@ -187,6 +190,7 @@ def _finalize_cluster(
         per_beacon_errors=tuple(float(e) for e in errors),
     )
     state.models[cid] = params.cluster_model(beacons)
+    state.anchor_centers[cid] = np.mean([[b.x, b.y] for b in beacons], axis=0)
     state.local_filters.pop(cid, None)
     state.pending_local_fixes.pop(cid, None)
     state.common_prev.pop(cid, None)
@@ -260,11 +264,8 @@ def scan_step(
         anchor_choices = []
         estimate = state.global_filter.pose.xy
         for obs in frame.observations:
-            if obs.ulps_id in gr_ids:
-                center = np.array(config.cluster(obs.ulps_id).coverage_center)
-            elif obs.ulps_id in state.calibrated:
-                center = _estimated_center(state.calibrated[obs.ulps_id])
-            else:
+            center = state.anchor_centers.get(obs.ulps_id)
+            if center is None:
                 continue
             anchor_choices.append((float(np.hypot(*(center - estimate))), obs))
         if anchor_choices:
@@ -372,13 +373,18 @@ def run_scan(
         config=config,
         filter_kind=filter_kind,
         method=method,
-        process_noise=process_noise,
         filter_params=filter_params,
+        Q=process_noise.matrix(),
         bootstrap_sigma_xy=ZERO_NOISE_SIGMA if noiseless else BOOTSTRAP_SIGMA_XY,
         bootstrap_sigma_theta=ZERO_NOISE_SIGMA if noiseless else BOOTSTRAP_SIGMA_THETA,
     )
 
-    state = ScanState(models={u.id: params.cluster_model(u.beacons) for u in config.ulps})
+    state = ScanState(
+        models={u.id: params.cluster_model(u.beacons) for u in config.ulps},
+        anchor_centers={
+            u.id: np.array(u.coverage_center) for u in config.global_clusters
+        },
+    )
     for frame in frames:
         scan_step(state, frame, params)
 

@@ -287,7 +287,7 @@ def test_criterion_8_numerical_property_suite():
         failures.append(f"GN vs grid oracle {worst_gn:.1e}")
 
     # covariance symmetry after every step of every filter
-    q = ProcessNoise(0.03, 0.03, 0.02)
+    q = ProcessNoise(0.03, 0.03, 0.02).matrix()
     r = MeasurementNoise.for_cluster(Mode.SPHERICAL, 0.005, 5)
     model = ClusterModel(cluster.beacon_array(), 0.5, Mode.SPHERICAL, r.matrix())
 

@@ -151,6 +151,111 @@ class TestAccumulateAnalytical:
             accumulate_analytical(log, d_min=2.5)
 
 
+def reference_pair_solve(la, ga, lb, gb) -> np.ndarray:
+    """One 4x4 pair solve, as ``analytical_tc`` did before the stacked solve."""
+    if np.allclose(la, lb, rtol=0.0, atol=1e-12):
+        raise CalibrationError("coincident local points: transform is underdetermined")
+    t_a = np.array(
+        [
+            [la[0], -la[1], 1.0, 0.0],
+            [la[1], la[0], 0.0, 1.0],
+            [lb[0], -lb[1], 1.0, 0.0],
+            [lb[1], lb[0], 0.0, 1.0],
+        ]
+    )
+    t_b = np.array([ga[0], ga[1], gb[0], gb[1]], dtype=float)
+    return TransformVector.from_array(np.linalg.solve(t_a, t_b)).as_array()
+
+
+def reference_accumulate(log, d_min) -> np.ndarray:
+    """The per-epoch loop that ``accumulate_analytical`` replaced."""
+    local_pts, global_pts = log.arrays()
+    estimates = []
+    for k in range(1, len(local_pts)):
+        dists = np.hypot(*(local_pts[:k] - local_pts[k]).T)
+        qualifying = np.nonzero(dists >= d_min)[0]
+        if qualifying.size == 0:
+            continue
+        j = int(qualifying[-1])
+        estimates.append(
+            reference_pair_solve(local_pts[j], global_pts[j], local_pts[k], global_pts[k])
+        )
+    if not estimates:
+        raise CalibrationError(f"no point pair separated by d_min={d_min}")
+    return np.mean(estimates, axis=0)
+
+
+def outcome(solve, log, d_min):
+    """The mean transform as an array, or the first word of the error raised."""
+    try:
+        result = solve(log, d_min)
+    except CalibrationError as exc:
+        return "coincident" if "coincident" in str(exc) else "no pair"
+    return result.as_array() if isinstance(result, TransformVector) else result
+
+
+#: Coordinates drawn from a coarse grid repeat, so that random logs hold
+#: coincident points and epochs with and without a qualifying earlier point.
+coordinate = st.one_of(
+    st.integers(-3, 3).map(lambda v: 0.75 * v), st.floats(-5.0, 5.0)
+)
+point = st.tuples(coordinate, coordinate)
+
+
+class TestBatchedAnalyticalMatchesPairLoop:
+    @given(
+        locals_=st.lists(point, min_size=1, max_size=40),
+        globals_=st.lists(
+            st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=40, max_size=40
+        ),
+        d_min=st.one_of(st.floats(-1.0, 8.0), st.sampled_from([0.0, 0.75, 1.5, 2.5])),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_logs_bit_identical(self, locals_, globals_, d_min):
+        log = CorrespondenceLog("lr")
+        for epoch, (local, glob) in enumerate(zip(locals_, globals_)):
+            log.append(local, glob, epoch)
+        got = outcome(accumulate_analytical, log, d_min)
+        want = outcome(reference_accumulate, log, d_min)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    def test_partly_qualifying_noisy_log(self, rng):
+        truth = TransformVector.from_rotation(0.9, -3.0, 7.0)
+        locals_ = [(0.3 * k, 0.1 * np.sin(k)) for k in range(80)]
+        log = make_log(locals_, truth, jitter=0.02, rng=rng)
+        local_pts, _ = log.arrays()
+        qualifying = [
+            k for k in range(1, len(local_pts))
+            if np.any(np.hypot(*(local_pts[:k] - local_pts[k]).T) >= 2.5)
+        ]
+        assert 0 < len(qualifying) < len(local_pts) - 1
+        assert np.array_equal(
+            accumulate_analytical(log, 2.5).as_array(), reference_accumulate(log, 2.5)
+        )
+
+    def test_no_qualifying_pair(self):
+        log = make_log([(0.0, 0.0), (0.5, 0.0), (0.2, 0.4)], TransformVector.identity())
+        assert outcome(reference_accumulate, log, 2.5) == "no pair"
+        with pytest.raises(CalibrationError, match="no point pair"):
+            accumulate_analytical(log, 2.5)
+
+    def test_one_point_log(self):
+        log = make_log([(1.0, 2.0)], TransformVector.identity())
+        assert outcome(reference_accumulate, log, 0.5) == "no pair"
+        with pytest.raises(CalibrationError, match="no point pair"):
+            accumulate_analytical(log, 0.5)
+
+    @pytest.mark.parametrize("d_min", [0.0, -1.0])
+    def test_repeated_point_with_nonpositive_d_min(self, d_min):
+        log = make_log([(0.0, 0.0), (3.0, 0.0), (3.0, 0.0)], TransformVector.identity())
+        assert outcome(reference_accumulate, log, d_min) == "coincident"
+        with pytest.raises(CalibrationError, match="coincident"):
+            accumulate_analytical(log, d_min)
+
+
 class TestSelectSpreadPoints:
     def test_greedy_in_epoch_order(self):
         locals_ = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (6.0, 0.0)]

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+import scansim.cli as cli
 from scansim.cli import main, run_batch
 from scansim.scenario import default_scenario
 
@@ -129,6 +130,22 @@ class TestSweepCommand:
             "sweep-dmin", SCENARIO, "--values", "0.0,2.5", "--runs", "1",
             "--out-dir", str(tmp_path / "s"),
         ) == 2
+
+    def test_non_numeric_value_rejected_before_any_batch(self, tmp_path, capsys, monkeypatch):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch started")
+
+        monkeypatch.setattr(cli, "run_batch", no_batch)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_batch)
+        out = tmp_path / "s"
+        assert run_cli(
+            "sweep-dmin", SCENARIO, "--values", "abc", "--runs", "1",
+            "--out-dir", str(out),
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "abc" in err[0]
+        assert not out.exists()
 
     def test_single_value_outputs(self, tmp_path):
         out = tmp_path / "sweep"

@@ -219,7 +219,7 @@ class TestUkfWeights:
 
 
 def _noise_pair(mode, beacons):
-    return ProcessNoise(0.01, 0.01, 0.01), MeasurementNoise.for_cluster(
+    return ProcessNoise(0.01, 0.01, 0.01).matrix(), MeasurementNoise.for_cluster(
         mode, 0.005, beacons
     )
 
@@ -286,7 +286,7 @@ class TestPredictionOnly:
         # negligible covariance so the unscented heading contraction vanishes
         state = make_state(0.0, 0.0, 0.0, p=1e-12)
         odo = OdometryIncrement(1.0, 0.0)
-        q = ProcessNoise(0.01, 0.01, 0.01)
+        q = ProcessNoise(0.01, 0.01, 0.01).matrix()
         out = filter_step(state, odo, None, None, q, params)
         assert out.pose.x == pytest.approx(1.0)
 
@@ -296,13 +296,13 @@ class TestPredictionOnly:
         state = make_state(0.0, 0.0, 0.0, p=0.01)
         out = filter_step(
             state, OdometryIncrement(1.0, 0.0), None, None,
-            ProcessNoise(0.01, 0.01, 0.01), UkfParams(),
+            ProcessNoise(0.01, 0.01, 0.01).matrix(), UkfParams(),
         )
         assert out.pose.x == pytest.approx(1.0 - 0.01 / 2, abs=1e-5)
 
     def test_ekf_trace_nondecreasing_without_observations(self):
         state = make_state()
-        q = ProcessNoise(0.01, 0.01, 0.01)
+        q = ProcessNoise(0.01, 0.01, 0.01).matrix()
         traces = [np.trace(state.P)]
         for _ in range(10):
             state = filter_step(state, OdometryIncrement(0.1, 0.0), None, None, q)
@@ -320,7 +320,7 @@ class TestZeroNoiseTracking:
     def test_exact_init_tracks_truth(self, gr_cluster, params, tol, mode):
         # straight pass through the cluster, exact measurements, exact start:
         # the filters must follow the truth to within the stated tolerance
-        q = ProcessNoise(1e-6, 1e-6, 1e-6)
+        q = ProcessNoise(1e-6, 1e-6, 1e-6).matrix()
         r = MeasurementNoise.for_cluster(mode, 0.0, 5)
         truth = Pose(-2.5, 0.3, 0.0)
         state = FilterState(truth, 1e-12 * np.eye(3))
@@ -337,6 +337,77 @@ class TestZeroNoiseTracking:
             truth = new_truth
             worst = max(worst, float(np.hypot(*(state.pose.xy - truth.xy))))
         assert worst <= tol
+
+
+def generic_core_step(params, state, odo, obs, model, process_noise):
+    """One step of the generic core of ``params``, built from plain model
+    callables the way the pose-level step used to build it."""
+    x = state.pose.as_array()
+    Q = process_noise.matrix()
+    z = None if obs is None else np.asarray(obs.values, dtype=float)
+    R = None if obs is None else model.R
+
+    def f(s):
+        return process_model(s, odo)
+
+    def h(s):
+        return predict_ranges(s, model.beacons, model.z_mr, model.mode)
+
+    def H(s):
+        return predict_ranges(s, model.beacons, model.z_mr, model.mode, jacobian=True)[1]
+
+    F = process_model(x, odo, jacobian=True)[1]
+    if isinstance(params, UkfParams):
+        return ukf_step_core(x, state.P, f, z, h, Q, R, params, angle_idx=2)
+    if isinstance(params, HinfParams):
+        return hinf_step_core(x, state.P, f, F, z, h, H, Q, R, params.gamma, angle_idx=2)
+    return ekf_step_core(x, state.P, f, F, z, h, H, Q, R, angle_idx=2)
+
+
+class TestPoseStepMatchesGenericCore:
+    @pytest.mark.parametrize(
+        "params", [EkfParams(), UkfParams(), HinfParams()], ids=["ekf", "ukf", "hinf"]
+    )
+    @pytest.mark.parametrize("mode", [Mode.SPHERICAL, Mode.HYPERBOLIC])
+    def test_seeded_sequence_bit_identical(self, gr_cluster, params, mode):
+        rng = np.random.default_rng(21)
+        process_noise = ProcessNoise(0.01, 0.01, 0.01)
+        r = MeasurementNoise.for_cluster(mode, 0.005, 5)
+        model = cluster_model(gr_cluster, mode, r)
+        truth = Pose(-2.0, 0.4, 0.2)
+        state = FilterState(Pose(-1.95, 0.42, 0.25), 0.02 * np.eye(3))
+        updates = 0
+        for k in range(50):
+            odo = OdometryIncrement(0.08 + rng.normal(0, 0.01), rng.normal(0, 0.02))
+            truth = Pose(*process_model(truth.as_array(), odo))
+            obs = None
+            if k % 4 != 0:
+                values = measurement_model(truth, gr_cluster, Z_MR, mode)
+                noise = rng.normal(0, 0.005, len(values))
+                obs = UsObservation("gr", tuple(values + noise))
+                updates += 1
+            x_ref, P_ref = generic_core_step(params, state, odo, obs, model, process_noise)
+            state = filter_step(
+                state, odo, obs, model if obs else None, process_noise.matrix(), params
+            )
+            assert np.array_equal(state.pose.as_array(), Pose(*x_ref).as_array()), k
+            assert np.array_equal(state.P, P_ref), k
+        assert 0 < updates < 50
+
+    @pytest.mark.parametrize("params", [EkfParams(), HinfParams()], ids=["ekf", "hinf"])
+    @pytest.mark.parametrize("mode", [Mode.SPHERICAL, Mode.HYPERBOLIC])
+    def test_zero_distance_jacobian_raises(self, params, mode):
+        # the receiver height equals the beacon height and the robot stops
+        # right under (that is, at) a beacon
+        beacons = np.array([[0.0, 0.0, 3.5], [1.0, 0.0, 3.5], [0.0, 1.0, 3.5], [1.0, 1.0, 3.5]])
+        r = MeasurementNoise.for_cluster(mode, 0.005, 4)
+        model = ClusterModel(beacons, 3.5, mode, r.matrix())
+        obs = UsObservation("gr", tuple(np.ones(r.dimension)))
+        with pytest.raises(FilterError, match="zero emitter-receiver distance"):
+            filter_step(
+                make_state(), OdometryIncrement(0.0, 0.0), obs, model,
+                ProcessNoise().matrix(), params,
+            )
 
 
 class TestLinearModelCrossValidation:
@@ -476,7 +547,7 @@ class TestCovarianceHygiene:
 
     def test_theta_stays_wrapped_across_pi(self):
         state = make_state(0.0, 0.0, 3.1)
-        q = ProcessNoise(0.01, 0.01, 0.01)
+        q = ProcessNoise(0.01, 0.01, 0.01).matrix()
         out = filter_step(state, OdometryIncrement(0.1, 0.2), None, None, q)
         assert -math.pi < out.pose.theta <= math.pi
         assert out.pose.theta == pytest.approx(3.3 - 2 * math.pi)
