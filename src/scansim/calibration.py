@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import CalibrationError
 from .geometry import TransformVector, transform_point
@@ -143,7 +142,8 @@ def mean_distance_error(t: TransformVector, local_pts, global_pts) -> float:
     local_pts = np.asarray(local_pts, dtype=float)
     global_pts = np.asarray(global_pts, dtype=float)
     diff = transform_point(local_pts, t) - global_pts
-    return float(np.mean(np.hypot(diff[:, 0], diff[:, 1])))
+    d = np.hypot(diff[:, 0], diff[:, 1])
+    return float(np.add.reduce(d) / len(d))
 
 
 def select_spread_points(
@@ -162,6 +162,112 @@ def select_spread_points(
     return local_pts[chosen], global_pts[chosen]
 
 
+class _BudgetSpent(Exception):
+    """Raised by ``nelder_mead``'s evaluation counter once ``maxfev`` calls
+    have been made; it ends the iteration in progress wherever it stands."""
+
+
+def nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> np.ndarray:
+    """Minimize ``f`` with the Nelder-Mead downhill simplex; returns the best
+    vertex.
+
+    This is the unbounded, non-adaptive path of scipy's
+    ``minimize(method="Nelder-Mead")`` (scipy 1.17) with the ``maxfev``,
+    ``xatol`` and ``fatol`` options, reproduced operation for operation so
+    that it evaluates the same points and returns the same bits:
+
+    - the initial simplex is ``x0`` plus, for each component k, ``x0`` with
+      component k scaled by 1.05, or set to 0.00025 where it is 0;
+    - reflection 1, expansion 2, contraction 0.5 and shrink 0.5;
+    - the search stops once every vertex lies within ``xatol`` of the best
+      one in every component and every vertex value within ``fatol`` of the
+      best value, or once ``maxfev`` evaluations have been made.  The budget
+      can run out partway through an iteration, a shrink included; the
+      simplex is then re-sorted as it stands, so a vertex a shrink has moved
+      but not yet evaluated keeps its old value.
+
+    ``f`` receives a 1-D float array that it must neither keep nor modify.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def evaluate(x) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return f(x)
+
+    def by_value(sim, fsim):
+        ind = fsim.argsort()
+        return sim[ind], fsim[ind]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _BudgetSpent:
+        pass
+    # scipy sorts the first simplex twice; the second sort is kept because
+    # an unstable argsort may reorder ties.
+    sim, fsim = by_value(*by_value(sim, fsim))
+
+    while calls < maxfev:
+        try:
+            if (
+                np.abs(sim[1:] - sim[0]).max() <= xatol
+                and np.abs(fsim[0] - fsim[1:]).max() <= fatol
+            ):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = evaluate(xr)
+            doshrink = False
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = evaluate(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = evaluate(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = evaluate(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = evaluate(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return sim[0]
+
+
 def numerical_tc(
     log: CorrespondenceLog,
     d_min: float,
@@ -171,9 +277,10 @@ def numerical_tc(
     """Minimize the mean distance error over the 4 transform components.
 
     Points are selected greedily in epoch order subject to pairwise local
-    separation >= ``d_min``, up to ``max_points``.  The optimizer is a
-    derivative-free simplex search started at ``init``; if it fails to
-    improve on the initial value, ``init`` is returned with a warning.
+    separation >= ``d_min``, up to ``max_points``.  The optimizer is the
+    derivative-free simplex search ``nelder_mead`` started at ``init``; if it
+    fails to improve on the initial value, ``init`` is returned with a
+    warning.
     """
     local_sel, global_sel = select_spread_points(log, d_min, max_points)
     if len(local_sel) < 2:
@@ -183,17 +290,12 @@ def numerical_tc(
         )
 
     def objective(params):
-        return mean_distance_error(TransformVector.from_array(params), local_sel, global_sel)
+        return mean_distance_error(TransformVector(*params.tolist()), local_sel, global_sel)
 
     x0 = init.as_array()
-    result = optimize.minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"maxfev": 500, "fatol": 1e-9, "xatol": 1e-12},
-    )
-    if objective(result.x) <= objective(x0):
-        return TransformVector.from_array(result.x)
+    x = nelder_mead(objective, x0, maxfev=500, fatol=1e-9, xatol=1e-12)
+    if objective(x) <= objective(x0):
+        return TransformVector.from_array(x)
     warnings.warn(
         f"cluster '{log.cluster_id}': numerical refinement did not improve on "
         "its initial transform; returning the initial one",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 pipeline error.  Output files land in
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -166,8 +167,8 @@ def _cmd_sweep_dmin(args) -> int:
         raise ScanError(f"--values must list numbers: {exc}") from exc
     if not values:
         raise ScanError("--values must list at least one d_min")
-    if any(v <= 0 for v in values):
-        raise ScanError("every d_min value must be > 0")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ScanError(f"every d_min value must be finite and > 0, got {args.values}")
     config = _load_config(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -2,20 +2,21 @@
 
 All three filters estimate the same 3-state vector [x, y, theta] from
 odometry increments and per-cluster ultrasound observations.  Each filter is
-implemented as a generic core operating on arrays and model callables; the
-EKF and H-infinity cores are a prediction followed by an update half
-(``ekf_update``, ``hinf_update``).  One pose-level step (``filter_step``)
-hands the pose to the step of the filter's parameter object, which evaluates
-the motion and range models of ``geometry`` once and runs its filter's core,
-or the core's update half with the prediction already made.  The generic
-cores serve the linear cross-validation fixtures in the test suite and are
-the reference the pose-level steps are tested against.
+implemented as a generic core operating on arrays and model callables; each
+core is a prediction followed by an update half (``ekf_update``,
+``ukf_update``, ``hinf_update``; the UKF's prediction is ``ukf_predict``).
+One pose-level step (``filter_step``) hands the pose to the step of the
+filter's parameter object, which evaluates the motion and range models of
+``geometry`` once and runs its filter's prediction and update halves.  The
+generic cores serve the linear cross-validation fixtures in the test suite
+and are the reference the pose-level steps are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,18 +109,27 @@ class UkfParams:
             )
         return self.alpha**2 * (state_dim + self.kappa) - state_dim
 
+    @cached_property
+    def weights(self):
+        """``ukf_weights`` for the pose state, computed on first use and then
+        kept, since a run binds one parameter object."""
+        return ukf_weights(self)
+
     def step(self, x, P, odo, z, cluster, Q):
         """Unscented step on a pose state; the models need no Jacobians."""
-        return ukf_step_core(
-            x,
-            P,
-            lambda points: process_model(points, odo),
+        x_prior, P_prior = ukf_predict(
+            x, P, lambda points: process_model(points, odo), Q, self.weights, THETA_INDEX
+        )
+        if z is None:
+            return x_prior, P_prior
+        return ukf_update(
+            x_prior,
+            P_prior,
             z,
             lambda points: predict_ranges(points, cluster.beacons, cluster.z_mr, cluster.mode),
-            Q,
-            cluster.R if z is not None else None,
-            self,
-            angle_idx=THETA_INDEX,
+            cluster.R,
+            self.weights,
+            THETA_INDEX,
         )
 
 
@@ -300,28 +310,23 @@ def _ut_residuals(points: np.ndarray, mean: np.ndarray, angle_idx) -> np.ndarray
     return res
 
 
-def ukf_step_core(x, P, f_points, z, h_points, Q, R, params: UkfParams, angle_idx=None):
-    """One unscented step with additive noise.
-
-    ``f_points`` and ``h_points`` map an (m, n) array of sigma points to
-    their propagated states / predicted observations.  Q is added to the
-    prior covariance after the unscented prediction; the update then redraws
-    sigma points from the Q-inflated prior (the standard additive-noise
-    form — it is what makes the filter reduce exactly to a Kalman filter on
-    linear models) and R is added to the innovation covariance.  ``z`` may be
-    None for prediction only.
-    """
-    x = np.asarray(x, dtype=float)
-    w_mean, w_cov, lam = ukf_weights(params, len(x))
+def ukf_predict(x, P, f_points, Q, weights, angle_idx=None):
+    """Unscented prediction with additive process noise ``Q``; ``weights``
+    is the ``ukf_weights`` triple."""
+    w_mean, w_cov, lam = weights
     points = sigma_points(x, P, lam)
     propagated = np.asarray(f_points(points), dtype=float)
     x_prior = _ut_mean(propagated, w_mean, angle_idx)
     res_x = _ut_residuals(propagated, x_prior, angle_idx)
     P_prior = _symmetrize((res_x * w_cov[:, None]).T @ res_x + Q)
-    x_prior = _wrap_component(x_prior, angle_idx)
-    if z is None:
-        return x_prior, P_prior
+    return _wrap_component(x_prior, angle_idx), P_prior
 
+
+def ukf_update(x_prior, P_prior, z, h_points, R, weights, angle_idx=None):
+    """Unscented update of a prior by the observation ``z``, from sigma
+    points redrawn from the prior; ``weights`` is the ``ukf_weights``
+    triple."""
+    w_mean, w_cov, lam = weights
     update_points = sigma_points(x_prior, P_prior, lam)
     res_x = _ut_residuals(update_points, x_prior, angle_idx)
     predicted = np.asarray(h_points(update_points), dtype=float)
@@ -336,6 +341,25 @@ def ukf_step_core(x, P, f_points, z, h_points, Q, R, params: UkfParams, angle_id
     x_post = _wrap_component(x_prior + gain @ (np.asarray(z, dtype=float) - z_hat), angle_idx)
     P_post = _symmetrize(P_prior - gain @ P_zz @ gain.T)
     return x_post, P_post
+
+
+def ukf_step_core(x, P, f_points, z, h_points, Q, R, params: UkfParams, angle_idx=None):
+    """One unscented step with additive noise.
+
+    ``f_points`` and ``h_points`` map an (m, n) array of sigma points to
+    their propagated states / predicted observations.  Q is added to the
+    prior covariance after the unscented prediction; the update then redraws
+    sigma points from the Q-inflated prior (the standard additive-noise
+    form — it is what makes the filter reduce exactly to a Kalman filter on
+    linear models) and R is added to the innovation covariance.  ``z`` may be
+    None for prediction only.
+    """
+    x = np.asarray(x, dtype=float)
+    weights = ukf_weights(params, len(x))
+    x_prior, P_prior = ukf_predict(x, P, f_points, Q, weights, angle_idx)
+    if z is None:
+        return x_prior, P_prior
+    return ukf_update(x_prior, P_prior, z, h_points, R, weights, angle_idx)
 
 
 def hinf_update(x_prior, P, A, z, z_hat, jac, Q, R_inv, gamma: float, angle_idx=None):

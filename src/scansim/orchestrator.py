@@ -38,7 +38,7 @@ from .filters import (
 )
 from .geometry import Mode, TransformVector
 from .positioning import MIN_FIX_SEPARATION, StaticFix, bootstrap_state, gauss_newton_fix
-from .scenario import Beacon, ScenarioConfig, beacon_array
+from .scenario import Beacon, ScenarioConfig, UlpsDescriptor, beacon_array
 
 FILTER_KINDS = ("ekf", "ukf", "hinf")
 METHODS = ("analytical", "numerical")
@@ -120,13 +120,16 @@ class ScanResult:
 @dataclass(frozen=True)
 class _RunParams:
     """What one run binds once: the scenario, the estimator and its tuning,
-    and the process covariance ``Q`` every filter step uses."""
+    the process covariance ``Q`` every filter step uses, and the scenario's
+    cluster lookups every epoch makes."""
 
     config: ScenarioConfig
     filter_kind: str
     method: str
     filter_params: EkfParams | UkfParams | HinfParams
     Q: np.ndarray
+    global_ids: frozenset[str]
+    local_clusters: tuple[UlpsDescriptor, ...]
     bootstrap_sigma_xy: float = BOOTSTRAP_SIGMA_XY
     bootstrap_sigma_theta: float = BOOTSTRAP_SIGMA_THETA
 
@@ -219,10 +222,9 @@ def scan_step(
     """Advance the state machine by one measurement frame (mutates state)."""
     config = params.config
     observed = {o.ulps_id for o in frame.observations}
-    gr_ids = [u.id for u in config.global_clusters]
 
     def anchored_now() -> bool:
-        return any(g in observed for g in gr_ids) or any(
+        return not params.global_ids.isdisjoint(observed) or any(
             c in observed for c in state.calibrated
         )
 
@@ -242,7 +244,7 @@ def scan_step(
     state.global_updated = False
     if state.global_filter is None:
         for obs in frame.observations:
-            if obs.ulps_id not in gr_ids:
+            if obs.ulps_id not in params.global_ids:
                 continue
             u = config.cluster(obs.ulps_id)
             try:
@@ -281,7 +283,7 @@ def scan_step(
         state.trajectory_global.append((frame.epoch, state.global_filter.pose))
 
     # -- 3. local filters for uncalibrated clusters ------------------------
-    for u in config.local_clusters:
+    for u in params.local_clusters:
         cid = u.id
         if cid in state.calibrated:
             continue
@@ -375,6 +377,8 @@ def run_scan(
         method=method,
         filter_params=filter_params,
         Q=process_noise.matrix(),
+        global_ids=frozenset(u.id for u in config.global_clusters),
+        local_clusters=config.local_clusters,
         bootstrap_sigma_xy=ZERO_NOISE_SIGMA if noiseless else BOOTSTRAP_SIGMA_XY,
         bootstrap_sigma_theta=ZERO_NOISE_SIGMA if noiseless else BOOTSTRAP_SIGMA_THETA,
     )

@@ -200,8 +200,8 @@ class ScenarioConfig:
             raise ScenarioError("waypoints: at least two waypoints required")
         if not self.speed > 0:
             raise ScenarioError("speed must be > 0")
-        if not self.d_min > 0:
-            raise ScenarioError("d_min must be > 0")
+        if not (math.isfinite(self.d_min) and self.d_min > 0):
+            raise ScenarioError(f"d_min must be finite and > 0, got {self.d_min}")
         if self.inverse_correct_count < 0:
             raise ScenarioError("inverse_correct_count must be >= 0")
         if self.max_points < 2:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scansim.calibration import (
@@ -12,6 +12,7 @@ from scansim.calibration import (
     beacon_error,
     calibrate_beacons,
     mean_distance_error,
+    nelder_mead,
     numerical_tc,
     per_beacon_errors,
     select_spread_points,
@@ -294,6 +295,21 @@ class TestMeanDistanceError:
         globals_ = np.array([[0.3, 0.4], [1.0, 0.0]])
         assert mean_distance_error(t, locals_, globals_) == pytest.approx(0.25)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        spread=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=200)
+    def test_equals_np_mean_formula(self, seed, n, spread):
+        rng = np.random.default_rng(seed)
+        t = TransformVector(*rng.normal(0, 1, 4).tolist())
+        locals_ = rng.normal(0, spread, (n, 2))
+        globals_ = rng.normal(0, spread, (n, 2))
+        diff = transform_point(locals_, t) - globals_
+        expected = float(np.mean(np.hypot(diff[:, 0], diff[:, 1])))
+        assert mean_distance_error(t, locals_, globals_) == expected
+
 
 class TestNumericalTc:
     def test_exact_log_keeps_exact_transform(self):
@@ -327,6 +343,91 @@ class TestNumericalTc:
         log = make_log([(0.0, 0.0), (0.2, 0.0)], TransformVector.identity())
         with pytest.raises(CalibrationError, match="fewer than 2"):
             numerical_tc(log, d_min=2.5, max_points=10, init=TransformVector.identity())
+
+
+@pytest.fixture(scope="module")
+def scipy_optimize():
+    """scipy's optimizer, the oracle ``nelder_mead`` is ported from (a dev
+    dependency only)."""
+    return pytest.importorskip("scipy.optimize")
+
+
+def recording(objective, points):
+    def f(x):
+        points.append(x.copy())
+        return objective(x)
+
+    return f
+
+
+class TestNelderMeadMatchesScipy:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        zeros=st.lists(st.booleans(), min_size=4, max_size=4),
+        surface=st.sampled_from(["smooth", "rounded", "rippled"]),
+        tolerances=st.sampled_from([(1e-12, 1e-9), (1e-2, 1e-2), (0.5, 0.5), (1.0, 0.0)]),
+        maxfev=st.integers(1, 60),
+    )
+    # the budget runs out partway through a shrink that has already found a
+    # new best vertex
+    @example(
+        seed=278, n=4, zeros=[False, True, False, False], surface="rippled",
+        tolerances=(1e-12, 1e-9), maxfev=38,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_points_and_result(
+        self, scipy_optimize, seed, n, zeros, surface, tolerances, maxfev
+    ):
+        # On a convex objective such as the mean distance a contraction
+        # hardly ever fails, so the simplex hardly ever shrinks.  Rounding
+        # the values makes plateaus, and a ripple makes local minima, on
+        # which it does, so that the budget also runs out mid-shrink.
+        rng = np.random.default_rng(seed)
+        locals_ = rng.normal(0, 3, (n, 2))
+        globals_ = rng.normal(0, 3, (n, 2))
+        x0 = rng.normal(0, 1, 4)
+        x0[zeros] = 0.0
+
+        def objective(x):
+            value = mean_distance_error(TransformVector(*x.tolist()), locals_, globals_)
+            if surface == "rounded":
+                return round(value, 1)
+            if surface == "rippled":
+                return value + 0.5 * math.sin(40.0 * x.sum())
+            return value
+
+        xatol, fatol = tolerances
+        ours, theirs = [], []
+        x = nelder_mead(recording(objective, ours), x0, maxfev, xatol, fatol)
+        result = scipy_optimize.minimize(
+            recording(objective, theirs),
+            x0,
+            method="Nelder-Mead",
+            options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol},
+        )
+        assert len(ours) == len(theirs) <= maxfev
+        for a, b in zip(ours, theirs):
+            assert np.array_equal(a, b)
+        assert np.array_equal(x, result.x)
+
+    def test_numerical_tc_solve_matches_scipy(self, scipy_optimize):
+        rng = np.random.default_rng(31)
+        truth = TransformVector.from_rotation(-0.8, 5.0, 1.0)
+        log = make_log(
+            [(0.25 * k, 0.05 * k * k % 1.3) for k in range(40)], truth, jitter=0.05, rng=rng
+        )
+        init = accumulate_analytical(log, d_min=2.0)
+        locals_, globals_ = select_spread_points(log, 2.0, 10)
+        # the objective and the search numerical_tc used before the port
+        result = scipy_optimize.minimize(
+            lambda x: mean_distance_error(TransformVector.from_array(x), locals_, globals_),
+            init.as_array(),
+            method="Nelder-Mead",
+            options={"maxfev": 500, "fatol": 1e-9, "xatol": 1e-12},
+        )
+        out = numerical_tc(log, d_min=2.0, max_points=10, init=init)
+        assert np.array_equal(out.as_array(), result.x)
 
 
 class TestCalibrateBeacons:

@@ -147,6 +147,24 @@ class TestSweepCommand:
         assert "abc" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", ["inf", "nan", "2.5,-inf"])
+    def test_non_finite_value_rejected_before_any_batch(
+        self, tmp_path, capsys, monkeypatch, values
+    ):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch started")
+
+        monkeypatch.setattr(cli, "run_batch", no_batch)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_batch)
+        out = tmp_path / "s"
+        assert run_cli(
+            "sweep-dmin", SCENARIO, "--values", values, "--runs", "1",
+            "--out-dir", str(out),
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "finite" in err[0], err
+        assert not out.exists()
+
     def test_single_value_outputs(self, tmp_path):
         out = tmp_path / "sweep"
         code = run_cli(

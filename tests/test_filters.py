@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scansim.filters as filters
 from scansim.errors import FilterError
 from scansim.filters import (
     ClusterModel,
@@ -194,6 +195,31 @@ class TestUkfWeights:
     def test_alpha_range_enforced(self):
         with pytest.raises(FilterError, match="alpha"):
             ukf_weights(UkfParams(alpha=0.0))
+
+    def test_bound_once_per_parameter_object(self, gr_cluster, monkeypatch):
+        calls = []
+        weights = filters.ukf_weights
+        monkeypatch.setattr(
+            filters, "ukf_weights", lambda *args: calls.append(args) or weights(*args)
+        )
+        params = UkfParams()
+        r = MeasurementNoise.for_cluster(Mode.SPHERICAL, 0.005, 5)
+        model = cluster_model(gr_cluster, Mode.SPHERICAL, r)
+        state = make_state()
+        values = measurement_model(state.pose, gr_cluster, Z_MR, Mode.SPHERICAL)
+        obs = UsObservation("gr", tuple(values))
+        Q = ProcessNoise(0.01, 0.01, 0.01).matrix()
+        for _ in range(3):
+            state = filter_step(state, OdometryIncrement(0.05, 0.0), obs, model, Q, params)
+        assert len(calls) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(params.weights, weights(params)))
+
+    def test_invalid_tuning_raises_at_the_step(self):
+        with pytest.raises(FilterError, match="alpha"):
+            filter_step(
+                make_state(), OdometryIncrement(0.05, 0.0), None, None,
+                ProcessNoise().matrix(), UkfParams(alpha=0.0),
+            )
 
     def test_sigma_points_reproduce_covariance(self):
         params = UkfParams(alpha=0.5)

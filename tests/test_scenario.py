@@ -191,6 +191,11 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="d_min"):
             _minimal_config(d_min=0.0)
 
+    @pytest.mark.parametrize("d_min", [math.inf, math.nan])
+    def test_non_finite_d_min(self, d_min):
+        with pytest.raises(ScenarioError, match="d_min must be finite"):
+            _minimal_config(d_min=d_min)
+
     def test_zero_speed(self):
         with pytest.raises(ScenarioError, match="speed"):
             _minimal_config(speed=0.0)
