@@ -100,9 +100,15 @@ class UkfParams:
     beta: float = 2.0
     kappa: float = 0.0
 
-    def lam(self, state_dim: int = STATE_DIM) -> float:
+    def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise FilterError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not self.kappa >= 0:
+            raise FilterError(f"kappa must be >= 0, got {self.kappa}")
+        if not math.isfinite(self.beta):
+            raise FilterError(f"beta must be finite, got {self.beta}")
+
+    def lam(self, state_dim: int = STATE_DIM) -> float:
         if not 0 <= self.kappa <= max(0.0, 3.0 - state_dim) + 1e-12:
             raise FilterError(
                 f"kappa must be in [0, 3 - L] = [0, {3 - state_dim}], got {self.kappa}"

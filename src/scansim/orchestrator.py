@@ -1,13 +1,15 @@
 """The simultaneous calibration and navigation state machine.
 
-Per epoch: bootstrap the global filter from Gauss-Newton fixes inside a
-globally referenced cluster, keep one filter running per not-yet-calibrated
-locally referenced cluster in its own frame, log (local, global) trajectory
-correspondences while both estimates are anchored, and promote a cluster to
-globally referenced once the robot leaves the common coverage area and its
-transform has been solved.  Promoted clusters immediately start anchoring the
-global filter, which is what lets the calibration chain from cluster to
-cluster between the globally referenced ones.
+Every filter of a run is one ``_Lane``: the global filter in the map frame,
+and one local filter per locally referenced cluster in that cluster's own
+frame.  Each lane starts from two Gauss-Newton fixes and then steps once per
+epoch.  The global lane bootstraps inside an anchor cluster and updates with
+the nearest one; a local lane logs (local, global) trajectory correspondences
+while both estimates are anchored, and its cluster is promoted to globally
+referenced once the robot leaves the common coverage area and its transform
+has been solved.  Promoted clusters immediately start anchoring the global
+filter, which is what lets the calibration chain from cluster to cluster
+between the globally referenced ones.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .filters import (
     UkfParams,
 )
 from .geometry import Mode, TransformVector
-from .positioning import MIN_FIX_SEPARATION, StaticFix, bootstrap_state, gauss_newton_fix
-from .scenario import Beacon, ScenarioConfig, UlpsDescriptor, beacon_array
+from .positioning import StaticFix, bootstrap_state, gauss_newton_fix
+from .scenario import Beacon, ScenarioConfig, beacon_array
 
 FILTER_KINDS = ("ekf", "ukf", "hinf")
 METHODS = ("analytical", "numerical")
@@ -74,6 +76,84 @@ class CalibrationRecord:
         return self.transform.scale
 
 
+@dataclass(frozen=True)
+class _RunParams:
+    """What one run binds once: the scenario, the estimator and its tuning,
+    the process covariance ``Q`` every filter step uses and the covariance
+    ``P0`` every bootstrap starts from (shared, as steps never write into a
+    covariance)."""
+
+    config: ScenarioConfig
+    filter_kind: str
+    method: str
+    filter_params: EkfParams | UkfParams | HinfParams
+    Q: np.ndarray
+    P0: np.ndarray
+
+    def cluster_model(self, beacons: tuple[Beacon, ...]) -> ClusterModel:
+        config = self.config
+        noise = MeasurementNoise.for_cluster(config.mode, config.noise.sigma_us, len(beacons))
+        return ClusterModel(beacon_array(beacons), config.z_mr, config.mode, noise.matrix())
+
+
+@dataclass
+class _Lane:
+    """One filter in one reference frame and what it records.
+
+    Until ``filter`` starts, ``held_fix`` holds the first fix of the two-fix
+    bootstrap.  ``trajectory`` lists ``(epoch, pose)`` from the bootstrap on.
+    Only a local lane has a correspondence ``log``; ``logged_last`` says
+    whether it logged in the latest epoch, i.e. whether the robot was inside
+    the common coverage area.
+    """
+
+    log: CorrespondenceLog | None = None
+    logged_last: bool = False
+    filter: FilterState | None = None
+    held_fix: StaticFix | None = None
+    trajectory: list = field(default_factory=list)
+
+    def bootstrap(self, obs: simulator.UsObservation, epoch: int, params: _RunParams) -> bool:
+        """Feed one observation to the bootstrap; False if it yields no fix.
+
+        A fix that did not converge is ignored and the first converged one is
+        held.  A later one starts the filter at its position, heading away
+        from the held fix, unless ``bootstrap_state`` rejects the pair (too
+        close for a heading), in which case the held fix is kept.
+        """
+        config = params.config
+        try:
+            fix = gauss_newton_fix(obs, config.cluster(obs.ulps_id), config.z_mr, config.mode)
+        except (GeometryError, ScanError):
+            return False
+        if not fix.converged:
+            return True
+        if self.held_fix is None:
+            self.held_fix = fix
+            return True
+        try:
+            pose = bootstrap_state(self.held_fix, fix)
+        except GeometryError:
+            return True
+        self.filter = FilterState(pose, params.P0)
+        self.trajectory.append((epoch, pose))
+        return True
+
+    def step(
+        self,
+        frame: simulator.MeasurementFrame,
+        obs: simulator.UsObservation | None,
+        models: dict,
+        params: _RunParams,
+    ) -> None:
+        """Step on the frame's odometry, updating with ``obs`` if there is one."""
+        cluster = None if obs is None else models[obs.ulps_id]
+        self.filter = FILTER_STEPS[params.filter_kind](
+            self.filter, frame.odo, obs, cluster, params.Q, params.filter_params
+        )
+        self.trajectory.append((frame.epoch, self.filter.pose))
+
+
 @dataclass
 class ScanState:
     """Mutable state folded over the measurement frames.
@@ -83,22 +163,16 @@ class ScanState:
     frame from then on.  ``anchor_centers`` holds the map-frame centre of
     each cluster that can anchor the global filter: the coverage centre of a
     globally referenced cluster, the mean of the calibrated beacons of a
-    promoted one.
+    promoted one.  ``lanes`` holds one local lane per locally referenced
+    cluster, in scenario order.
     """
 
     models: dict
     anchor_centers: dict
-    global_filter: FilterState | None = None
-    local_filters: dict = field(default_factory=dict)
+    global_lane: _Lane
+    lanes: dict
     calibrated: dict = field(default_factory=dict)
-    logs: dict = field(default_factory=dict)
-    trajectory_global: list = field(default_factory=list)
-    trajectories_local: dict = field(default_factory=dict)
-    pending_global_fix: tuple[int, StaticFix] | None = None
-    pending_local_fixes: dict = field(default_factory=dict)
-    common_prev: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
-    global_updated: bool = False
 
 
 @dataclass(frozen=True)
@@ -117,55 +191,17 @@ class ScanResult:
     inverse_applied: bool = False
 
 
-@dataclass(frozen=True)
-class _RunParams:
-    """What one run binds once: the scenario, the estimator and its tuning,
-    the process covariance ``Q`` every filter step uses, and the scenario's
-    cluster lookups every epoch makes."""
-
-    config: ScenarioConfig
-    filter_kind: str
-    method: str
-    filter_params: EkfParams | UkfParams | HinfParams
-    Q: np.ndarray
-    global_ids: frozenset[str]
-    local_clusters: tuple[UlpsDescriptor, ...]
-    bootstrap_sigma_xy: float = BOOTSTRAP_SIGMA_XY
-    bootstrap_sigma_theta: float = BOOTSTRAP_SIGMA_THETA
-
-    def bootstrap_covariance(self) -> np.ndarray:
-        return np.diag(
-            [
-                self.bootstrap_sigma_xy**2,
-                self.bootstrap_sigma_xy**2,
-                self.bootstrap_sigma_theta**2,
-            ]
-        )
-
-    def cluster_model(self, beacons: tuple[Beacon, ...]) -> ClusterModel:
-        config = self.config
-        noise = MeasurementNoise.for_cluster(config.mode, config.noise.sigma_us, len(beacons))
-        return ClusterModel(beacon_array(beacons), config.z_mr, config.mode, noise.matrix())
-
-    def step_filter(self, state: FilterState, odo, obs, cluster: ClusterModel | None):
-        return FILTER_STEPS[self.filter_kind](
-            state, odo, obs, cluster, self.Q, self.filter_params
-        )
-
-
-def _finalize_cluster(
-    state: ScanState, cid: str, epoch: int, params: _RunParams
-) -> bool:
-    """Solve the transform for one cluster and promote it; False on failure."""
+def _finalize_cluster(state: ScanState, cid: str, epoch: int, params: _RunParams) -> None:
+    """Solve the transform for one cluster and promote it, or warn."""
     config = params.config
-    u = config.cluster(cid)
-    log = state.logs.get(cid)
-    if log is None or len(log) < 2:
+    lane = state.lanes[cid]
+    lane.logged_last = False
+    log = lane.log
+    if len(log) < 2:
         state.warnings.append(
             f"cluster '{cid}': left common coverage with too few correspondences"
         )
-        state.common_prev[cid] = False
-        return False
+        return
     try:
         if params.method == "analytical":
             transform = accumulate_analytical(log, config.d_min)
@@ -177,9 +213,9 @@ def _finalize_cluster(
             transform = numerical_tc(log, config.d_min, config.max_points, init)
     except CalibrationError as exc:
         state.warnings.append(str(exc))
-        state.common_prev[cid] = False
-        return False
+        return
 
+    u = config.cluster(cid)
     beacons = calibrate_beacons(u, transform)
     truth = simulator.true_global_beacons(u)
     errors = per_beacon_errors(beacons, truth)
@@ -194,142 +230,73 @@ def _finalize_cluster(
     )
     state.models[cid] = params.cluster_model(beacons)
     state.anchor_centers[cid] = np.mean([[b.x, b.y] for b in beacons], axis=0)
-    state.local_filters.pop(cid, None)
-    state.pending_local_fixes.pop(cid, None)
-    state.common_prev.pop(cid, None)
-    return True
-
-
-def _try_bootstrap(
-    pending: tuple[int, StaticFix] | None,
-    fix: StaticFix,
-    epoch: int,
-):
-    """Two-fix bootstrap staging: returns (new_pending, pose_or_None)."""
-    if not fix.converged:
-        return pending, None
-    if pending is None:
-        return (epoch, fix), None
-    _, first = pending
-    if float(np.hypot(*(fix.xy - first.xy))) < MIN_FIX_SEPARATION:
-        return pending, None
-    return None, bootstrap_state(first, fix)
 
 
 def scan_step(
     state: ScanState, frame: simulator.MeasurementFrame, params: _RunParams
 ) -> ScanState:
     """Advance the state machine by one measurement frame (mutates state)."""
-    config = params.config
-    observed = {o.ulps_id for o in frame.observations}
+    observed = frame.by_cluster
+    lanes = state.lanes
 
-    def anchored_now() -> bool:
-        return not params.global_ids.isdisjoint(observed) or any(
-            c in observed for c in state.calibrated
-        )
+    def in_common_area(cid: str) -> bool:
+        return cid in observed and not state.anchor_centers.keys().isdisjoint(observed)
 
     # -- 1. finalize clusters whose common coverage area ended this epoch ----
-    candidates = [
-        cid
-        for cid, was_common in state.common_prev.items()
-        if was_common and not (anchored_now() and cid in observed)
-    ]
-    candidates.sort(key=lambda cid: state.logs[cid].epochs[0])
-    for cid in candidates:
-        if anchored_now() and cid in observed:
-            continue  # rescued by a promotion earlier in this loop
-        _finalize_cluster(state, cid, frame.epoch, params)
+    # by first logged epoch, ties in bootstrap order (epoch, then scenario)
+    ending = sorted(
+        (cid for cid, lane in lanes.items() if lane.logged_last and not in_common_area(cid)),
+        key=lambda cid: (lanes[cid].log.epochs[0], lanes[cid].trajectory[0][0]),
+    )
+    for cid in ending:
+        if not in_common_area(cid):  # else rescued by a promotion earlier in this loop
+            _finalize_cluster(state, cid, frame.epoch, params)
 
-    # -- 2. global filter: bootstrap or step -------------------------------
-    state.global_updated = False
-    if state.global_filter is None:
+    # -- 2. global lane: bootstrap inside an anchor, or step with the nearest
+    global_lane = state.global_lane
+    if global_lane.filter is None:
         for obs in frame.observations:
-            if obs.ulps_id not in params.global_ids:
-                continue
-            u = config.cluster(obs.ulps_id)
-            try:
-                fix = gauss_newton_fix(obs, u, config.z_mr, config.mode)
-            except (GeometryError, ScanError):
-                continue
-            try:
-                state.pending_global_fix, pose = _try_bootstrap(
-                    state.pending_global_fix, fix, frame.epoch
-                )
-            except GeometryError:
-                pose = None
-            if pose is not None:
-                state.global_filter = FilterState(pose, params.bootstrap_covariance())
-                state.trajectory_global.append((frame.epoch, pose))
-                state.global_updated = True
-            break
+            if obs.ulps_id in state.anchor_centers and global_lane.bootstrap(
+                obs, frame.epoch, params
+            ):
+                break
+        global_updated = global_lane.filter is not None
     else:
-        anchor_choices = []
-        estimate = state.global_filter.pose.xy
-        for obs in frame.observations:
-            center = state.anchor_centers.get(obs.ulps_id)
-            if center is None:
-                continue
-            anchor_choices.append((float(np.hypot(*(center - estimate))), obs))
-        if anchor_choices:
-            _, obs = min(anchor_choices, key=lambda item: item[0])
-            state.global_filter = params.step_filter(
-                state.global_filter, frame.odo, obs, state.models[obs.ulps_id]
-            )
-            state.global_updated = True
-        else:
-            state.global_filter = params.step_filter(
-                state.global_filter, frame.odo, None, None
-            )
-        state.trajectory_global.append((frame.epoch, state.global_filter.pose))
+        estimate = global_lane.filter.pose.xy
+        anchor_choices = [
+            (float(np.hypot(*(state.anchor_centers[obs.ulps_id] - estimate))), obs)
+            for obs in frame.observations
+            if obs.ulps_id in state.anchor_centers
+        ]
+        obs = min(anchor_choices, key=lambda item: item[0])[1] if anchor_choices else None
+        global_lane.step(frame, obs, state.models, params)
+        global_updated = obs is not None
 
-    # -- 3. local filters for uncalibrated clusters ------------------------
-    for u in params.local_clusters:
-        cid = u.id
+    # -- 3. local lanes of uncalibrated clusters, in scenario order ---------
+    for cid, lane in lanes.items():
         if cid in state.calibrated:
             continue
-        obs = frame.observation_for(cid)
-        if cid in state.local_filters:
-            state.local_filters[cid] = params.step_filter(
-                state.local_filters[cid], frame.odo, obs, state.models[cid]
-            )
-            state.trajectories_local.setdefault(cid, []).append(
-                (frame.epoch, state.local_filters[cid].pose)
-            )
+        obs = observed.get(cid)
+        if lane.filter is not None:
+            lane.step(frame, obs, state.models, params)
         elif obs is not None:
-            try:
-                fix = gauss_newton_fix(obs, u, config.z_mr, config.mode)
-            except (GeometryError, ScanError):
-                continue
-            try:
-                new_pending, pose = _try_bootstrap(
-                    state.pending_local_fixes.get(cid), fix, frame.epoch
-                )
-            except GeometryError:
-                new_pending, pose = state.pending_local_fixes.get(cid), None
-            state.pending_local_fixes[cid] = new_pending
-            if pose is not None:
-                state.local_filters[cid] = FilterState(pose, params.bootstrap_covariance())
-                state.trajectories_local.setdefault(cid, []).append((frame.epoch, pose))
-
-    # -- 4. correspondence logging -----------------------------------------
-    for cid, local_filter in state.local_filters.items():
-        common = state.global_updated and cid in observed
-        if common:
-            log = state.logs.setdefault(cid, CorrespondenceLog(cid))
-            log.append(
-                local_filter.pose.xy, state.global_filter.pose.xy, frame.epoch
-            )
-        state.common_prev[cid] = common
+            lane.bootstrap(obs, frame.epoch, params)
+        if lane.filter is None:
+            continue
+        # correspondence logging while both estimates are anchored
+        lane.logged_last = global_updated and obs is not None
+        if lane.logged_last:
+            lane.log.append(lane.filter.pose.xy, global_lane.filter.pose.xy, frame.epoch)
     return state
 
 
 def _global_rmse(state: ScanState, frames: list[simulator.MeasurementFrame]) -> float:
-    if not state.trajectory_global:
+    if not state.global_lane.trajectory:
         return float("nan")
     truth = {f.epoch: f.true_pose for f in frames}
     errors = [
         np.hypot(*(pose.xy - truth[epoch].xy))
-        for epoch, pose in state.trajectory_global
+        for epoch, pose in state.global_lane.trajectory
     ]
     return float(np.sqrt(np.mean(np.square(errors))))
 
@@ -371,16 +338,18 @@ def run_scan(
         "ukf": ukf_params or UkfParams(),
         "hinf": hinf_params or HinfParams(),
     }[filter_kind]
+    sigma_xy, sigma_theta = (
+        (ZERO_NOISE_SIGMA, ZERO_NOISE_SIGMA)
+        if noiseless
+        else (BOOTSTRAP_SIGMA_XY, BOOTSTRAP_SIGMA_THETA)
+    )
     params = _RunParams(
         config=config,
         filter_kind=filter_kind,
         method=method,
         filter_params=filter_params,
         Q=process_noise.matrix(),
-        global_ids=frozenset(u.id for u in config.global_clusters),
-        local_clusters=config.local_clusters,
-        bootstrap_sigma_xy=ZERO_NOISE_SIGMA if noiseless else BOOTSTRAP_SIGMA_XY,
-        bootstrap_sigma_theta=ZERO_NOISE_SIGMA if noiseless else BOOTSTRAP_SIGMA_THETA,
+        P0=np.diag([sigma_xy**2, sigma_xy**2, sigma_theta**2]),
     )
 
     state = ScanState(
@@ -388,31 +357,36 @@ def run_scan(
         anchor_centers={
             u.id: np.array(u.coverage_center) for u in config.global_clusters
         },
+        global_lane=_Lane(),
+        lanes={u.id: _Lane(CorrespondenceLog(u.id)) for u in config.local_clusters},
     )
     for frame in frames:
         scan_step(state, frame, params)
 
-    # end-of-log flush for clusters still inside their common coverage area
-    leftovers = [
-        cid
-        for cid in (u.id for u in config.local_clusters)
-        if cid not in state.calibrated and len(state.logs.get(cid, ())) >= 2
-    ]
-    leftovers.sort(key=lambda cid: state.logs[cid].epochs[0])
+    # end-of-log flush for clusters still inside their common coverage area,
+    # by first logged epoch, ties in scenario order
+    leftovers = sorted(
+        (
+            cid
+            for cid, lane in state.lanes.items()
+            if cid not in state.calibrated and len(lane.log) >= 2
+        ),
+        key=lambda cid: state.lanes[cid].log.epochs[0],
+    )
     last_epoch = frames[-1].epoch if frames else 0
     for cid in leftovers:
         _finalize_cluster(state, cid, last_epoch, params)
 
-    uncalibrated = tuple(
-        u.id for u in config.local_clusters if u.id not in state.calibrated
-    )
+    uncalibrated = tuple(cid for cid in state.lanes if cid not in state.calibrated)
     for cid in uncalibrated:
         state.warnings.append(f"cluster '{cid}' was not calibrated in this pass")
 
     result = ScanResult(
-        global_trajectory=tuple(state.trajectory_global),
+        global_trajectory=tuple(state.global_lane.trajectory),
         local_trajectories={
-            cid: tuple(traj) for cid, traj in state.trajectories_local.items()
+            cid: tuple(lane.trajectory)
+            for cid, lane in state.lanes.items()
+            if lane.trajectory
         },
         calibrations=dict(state.calibrated),
         uncalibrated=uncalibrated,

@@ -116,6 +116,13 @@ class UlpsDescriptor:
             raise ScenarioError(f"cluster '{self.id}': beacon list is empty")
         if not self.coverage_radius > 0:
             raise ScenarioError(f"cluster '{self.id}': coverage_radius must be > 0")
+        numbers = [*self.coverage_center, self.coverage_radius, self.orientation]
+        numbers += [c for b in self.beacons for c in (b.x, b.y, b.z)]
+        if not all(map(math.isfinite, numbers)):
+            raise ScenarioError(
+                f"cluster '{self.id}': beacon coordinates, coverage_center, "
+                "coverage_radius and orientation must be finite"
+            )
 
     @property
     def is_global(self) -> bool:
@@ -150,8 +157,8 @@ class NoiseParams:
         for name in ("sigma_d_odo", "sigma_theta_odo", "sigma_us"):
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
-            if value < 0:
-                raise ScenarioError(f"noise.{name} must be >= 0, got {value}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ScenarioError(f"noise.{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -191,6 +198,8 @@ class ScenarioConfig:
             raise ScenarioError("ulps: duplicate cluster ids")
         for u in self.ulps:
             u.validate_for_mode(self.mode)
+        if not math.isfinite(self.z_mr):
+            raise ScenarioError(f"z_mr must be finite, got {self.z_mr}")
         min_z = min(b.z for u in self.ulps for b in u.beacons)
         if not self.z_mr < min_z:
             raise ScenarioError(
@@ -198,10 +207,14 @@ class ScenarioConfig:
             )
         if len(self.waypoints) < 2:
             raise ScenarioError("waypoints: at least two waypoints required")
-        if not self.speed > 0:
-            raise ScenarioError("speed must be > 0")
+        if not all(math.isfinite(v) for w in self.waypoints for v in w):
+            raise ScenarioError("waypoints: every coordinate must be finite")
+        if not (math.isfinite(self.speed) and self.speed > 0):
+            raise ScenarioError(f"speed must be finite and > 0, got {self.speed}")
         if not (math.isfinite(self.d_min) and self.d_min > 0):
             raise ScenarioError(f"d_min must be finite and > 0, got {self.d_min}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.inverse_correct_count < 0:
             raise ScenarioError("inverse_correct_count must be >= 0")
         if self.max_points < 2:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +72,13 @@ class MeasurementFrame:
     true_pose: Pose
     observations: tuple[UsObservation, ...]
 
-    def observation_for(self, cluster_id: str) -> UsObservation | None:
+    @cached_property
+    def by_cluster(self) -> dict[str, UsObservation]:
+        """Observations by cluster id, in order; the first one if an id repeats."""
+        observed = {}
         for obs in self.observations:
-            if obs.ulps_id == cluster_id:
-                return obs
-        return None
+            observed.setdefault(obs.ulps_id, obs)
+        return observed
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,15 @@ class TestRunCommand:
         assert code == 0
         assert (out / "frames.json").exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["montecarlo", "--runs", "1"]])
+    def test_negative_seed_exits_2_without_output(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code = run_cli(*command[:1], SCENARIO, *command[1:], "--seed", "-1", "--out-dir", str(out))
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0], err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert run_cli("run", SCENARIO, "--filter", "bogus") == 1
         assert run_cli() == 1

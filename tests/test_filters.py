@@ -214,6 +214,15 @@ class TestUkfWeights:
         assert len(calls) == 1
         assert all(np.array_equal(a, b) for a, b in zip(params.weights, weights(params)))
 
+    @pytest.mark.parametrize(
+        "tuning",
+        [{"alpha": 0.0}, {"alpha": 1.5}, {"alpha": math.nan}, {"kappa": -1.0}, {"beta": math.inf}],
+        ids=["alpha-0", "alpha-1.5", "alpha-nan", "kappa-negative", "beta-inf"],
+    )
+    def test_invalid_tuning_raises_on_construction(self, tuning):
+        with pytest.raises(FilterError, match=next(iter(tuning))):
+            UkfParams(**tuning)
+
     def test_invalid_tuning_raises_at_the_step(self):
         with pytest.raises(FilterError, match="alpha"):
             filter_step(

@@ -238,6 +238,71 @@ class TestFlow:
             assert not set(epochs) & set(gr1_only_epochs)
 
 
+class TestBootstrap:
+    def test_too_close_fix_neither_starts_nor_replaces_the_held_fix(self, zero_noise):
+        # 0.03 m per epoch is below MIN_FIX_SEPARATION: the fix one epoch
+        # after the held one is rejected, the next one (0.06 m) starts
+        config = replace(default_scenario(noise=zero_noise), speed=0.03)
+        frames = simulate(config)
+        result = run_scan(frames, config, "ekf", "analytical")
+        assert result.global_trajectory[0][0] == 2
+        for u in config.local_clusters:
+            first_seen = next(
+                f.epoch for f in frames if u.id in {o.ulps_id for o in f.observations}
+            )
+            assert result.local_trajectories[u.id][0][0] == first_seen + 2, u.id
+
+    def test_global_filter_bootstraps_from_an_anchor_listed_second(self, zero_noise):
+        config = default_scenario(noise=zero_noise)
+        lr1 = replace(config.cluster("lr1"), coverage_center=(2.0, 0.0))
+        rest = tuple(u for u in config.ulps if u.id not in ("gr1", "lr1"))
+        config = replace(config, ulps=(lr1, config.cluster("gr1"), *rest))
+        frames = simulate(config)
+        assert [o.ulps_id for o in frames[0].observations] == ["lr1", "gr1"]
+        result = run_scan(frames, config, "ekf", "analytical")
+        epoch, pose = result.global_trajectory[0]
+        assert epoch == 1
+        assert pose.frame == "global"
+        assert np.hypot(*(pose.xy - frames[1].true_pose.xy)) <= 1e-6
+        assert result.local_trajectories["lr1"][0][0] == 1
+
+
+class TestGroundTruthFirewall:
+    @pytest.mark.parametrize("filter_kind", ["ekf", "ukf", "hinf"])
+    def test_local_cluster_placement_is_never_read(self, default_config, filter_kind):
+        # the true placement of a locally referenced cluster is simulator
+        # ground truth: hiding it may change the scores, nothing else
+        frames = simulate(default_config)
+        blind = replace(
+            default_config,
+            ulps=tuple(
+                u if u.is_global else replace(u, coverage_center=(0.0, 0.0), orientation=0.0)
+                for u in default_config.ulps
+            ),
+        )
+        seen = run_scan(frames, default_config, filter_kind, "analytical", inverse=True)
+        hidden = run_scan(frames, blind, filter_kind, "analytical", inverse=True)
+
+        def poses(trajectory):
+            return [(e, p.x, p.y, p.theta, p.frame) for e, p in trajectory]
+
+        assert poses(hidden.global_trajectory) == poses(seen.global_trajectory)
+        assert hidden.global_rmse == seen.global_rmse
+        assert hidden.local_trajectories.keys() == seen.local_trajectories.keys()
+        for cid, trajectory in seen.local_trajectories.items():
+            assert poses(hidden.local_trajectories[cid]) == poses(trajectory), cid
+        assert hidden.calibrations.keys() == seen.calibrations.keys()
+        assert hidden.uncalibrated == seen.uncalibrated
+        for cid, record in seen.calibrations.items():
+            other = hidden.calibrations[cid]
+            assert other.transform.as_array().tolist() == record.transform.as_array().tolist()
+            assert other.beacons == record.beacons
+            assert (other.calibration_epoch, other.source) == (
+                record.calibration_epoch,
+                record.source,
+            )
+
+
 class TestReplay:
     def test_saved_frame_log_replays_to_identical_result(self, tmp_path, default_config):
         from scansim.simulator import load_frames, save_frames

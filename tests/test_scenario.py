@@ -213,6 +213,40 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="sigma_us"):
             NoiseParams(sigma_us=-0.1)
 
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            (("seed",), -1, "seed must be >= 0"),
+            (("speed",), math.inf, "speed must be finite"),
+            (("speed",), math.nan, "speed must be finite"),
+            (("z_mr",), -math.inf, "z_mr must be finite"),
+            (("waypoints", 1, 0), math.inf, "waypoints: every coordinate must be finite"),
+            (("waypoints", 0, 1), math.nan, "waypoints: every coordinate must be finite"),
+            (("ulps", 1, "coverage_center", 0), math.nan, "'lr1'.* must be finite"),
+            (("ulps", 1, "coverage_radius"), math.inf, "'lr1'.* must be finite"),
+            (("ulps", 1, "orientation"), math.nan, "'lr1'.* must be finite"),
+            (("ulps", 0, "beacons", 0, 0), math.inf, "'gr1'.* must be finite"),
+            (("ulps", 0, "beacons", 0, 2), math.inf, "'gr1'.* must be finite"),
+            (("noise", "sigma_us"), math.nan, "sigma_us must be finite"),
+            (("noise", "sigma_d_odo"), math.inf, "sigma_d_odo must be finite"),
+        ],
+        ids=[
+            "negative-seed", "inf-speed", "nan-speed", "inf-z_mr", "inf-waypoint",
+            "nan-start", "nan-coverage-center", "inf-coverage-radius", "nan-orientation",
+            "inf-beacon-x", "inf-beacon-z", "nan-sigma_us", "inf-sigma_d_odo",
+        ],
+    )
+    def test_negative_seed_and_non_finite_numbers_rejected(
+        self, default_config, path, value, match
+    ):
+        data = config_to_dict(default_config)
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioError, match=match):
+            config_from_dict(data)
+
 
 class TestScenarioFiles:
     def test_round_trip(self, tmp_path, default_config):
