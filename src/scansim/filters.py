@@ -2,14 +2,12 @@
 
 All three filters estimate the same 3-state vector [x, y, theta] from
 odometry increments and per-cluster ultrasound observations.  Each filter is
-implemented as a generic core operating on arrays and model callables; each
-core is a prediction followed by an update half (``ekf_update``,
-``ukf_update``, ``hinf_update``; the UKF's prediction is ``ukf_predict``).
-One pose-level step (``filter_step``) hands the pose to the step of the
-filter's parameter object, which evaluates the motion and range models of
-``geometry`` once and runs its filter's prediction and update halves.  The
-generic cores serve the linear cross-validation fixtures in the test suite
-and are the reference the pose-level steps are tested against.
+one step function on arrays and model callables (``ekf_step``, ``ukf_step``,
+``hinf_step``).  The parameter object of each filter kind binds the motion
+and range models of ``geometry`` and the observed cluster's noise to its step
+function, and one pose-level step (``filter_step``) hands the pose to it.
+The linear cross-validation fixtures of the test suite call the same step
+functions with linear models.
 """
 
 from __future__ import annotations
@@ -94,26 +92,19 @@ class MeasurementNoise:
 
 @dataclass(frozen=True)
 class UkfParams:
-    """Sigma-point spread parameters; lambda = alpha^2 (L + kappa) - L."""
+    """Sigma-point spread parameters; lambda = alpha^2 L - L.
+
+    kappa is 0: the Julier-Uhlmann choice kappa = 3 - L for the 3-state pose.
+    """
 
     alpha: float = 0.001
     beta: float = 2.0
-    kappa: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise FilterError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not self.kappa >= 0:
-            raise FilterError(f"kappa must be >= 0, got {self.kappa}")
         if not math.isfinite(self.beta):
             raise FilterError(f"beta must be finite, got {self.beta}")
-
-    def lam(self, state_dim: int = STATE_DIM) -> float:
-        if not 0 <= self.kappa <= max(0.0, 3.0 - state_dim) + 1e-12:
-            raise FilterError(
-                f"kappa must be in [0, 3 - L] = [0, {3 - state_dim}], got {self.kappa}"
-            )
-        return self.alpha**2 * (state_dim + self.kappa) - state_dim
 
     @cached_property
     def weights(self):
@@ -123,19 +114,11 @@ class UkfParams:
 
     def step(self, x, P, odo, z, cluster, Q):
         """Unscented step on a pose state; the models need no Jacobians."""
-        x_prior, P_prior = ukf_predict(
-            x, P, lambda points: process_model(points, odo), Q, self.weights, THETA_INDEX
-        )
-        if z is None:
-            return x_prior, P_prior
-        return ukf_update(
-            x_prior,
-            P_prior,
-            z,
-            lambda points: predict_ranges(points, cluster.beacons, cluster.z_mr, cluster.mode),
-            cluster.R,
-            self.weights,
-            THETA_INDEX,
+        # the range model reads ``cluster`` only when there is an observation
+        return ukf_step(
+            x, P, lambda points: process_model(points, odo), z,
+            lambda points: cluster.ranges(points),
+            Q, None if z is None else cluster.R, self.weights, THETA_INDEX,
         )
 
 
@@ -151,14 +134,10 @@ class HinfParams:
 
     def step(self, x, P, odo, z, cluster, Q):
         """H-infinity step on a pose state, with the cluster's bound R^-1."""
-        x_prior, A = _pose_prior(x, odo)
-        if z is None:
-            return x_prior, _propagate(A, P, Q)
-        z_hat, jac = predict_ranges(
-            x_prior, cluster.beacons, cluster.z_mr, cluster.mode, jacobian=True
-        )
-        return hinf_update(
-            x_prior, P, A, z, z_hat, jac, Q, cluster.R_inv, self.gamma, THETA_INDEX
+        return hinf_step(
+            x, P, lambda s: process_model(s, odo, jacobian=True), z,
+            lambda s: cluster.ranges(s, jacobian=True),
+            Q, None if z is None else cluster.R_inv, self.gamma, THETA_INDEX,
         )
 
 
@@ -168,14 +147,11 @@ class EkfParams:
 
     def step(self, x, P, odo, z, cluster, Q):
         """Extended-Kalman step on a pose state."""
-        x_prior, F = _pose_prior(x, odo)
-        P_prior = _propagate(F, P, Q)
-        if z is None:
-            return x_prior, P_prior
-        z_hat, jac = predict_ranges(
-            x_prior, cluster.beacons, cluster.z_mr, cluster.mode, jacobian=True
+        return ekf_step(
+            x, P, lambda s: process_model(s, odo, jacobian=True), z,
+            lambda s: cluster.ranges(s, jacobian=True),
+            Q, None if z is None else cluster.R, THETA_INDEX,
         )
-        return ekf_update(x_prior, P_prior, z, z_hat, jac, cluster.R, THETA_INDEX)
 
 
 @dataclass(frozen=True)
@@ -197,6 +173,10 @@ class ClusterModel:
     def __post_init__(self):
         object.__setattr__(self, "R_inv", np.linalg.inv(self.R))
 
+    def ranges(self, x, jacobian: bool = False):
+        """``geometry.predict_ranges`` of this cluster at the state(s) ``x``."""
+        return predict_ranges(x, self.beacons, self.z_mr, self.mode, jacobian)
+
 
 @dataclass
 class FilterState:
@@ -215,7 +195,7 @@ class FilterState:
 
 
 # ---------------------------------------------------------------------------
-# Generic filter cores
+# Filter steps
 # ---------------------------------------------------------------------------
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
@@ -234,9 +214,19 @@ def _propagate(F, P, Q):
     return _symmetrize(F @ P @ F.T + Q)
 
 
-def ekf_update(x_prior, P_prior, z, z_hat, jac, R, angle_idx=None):
-    """Extended-Kalman update of a prior by the observation ``z``, given its
-    prediction ``z_hat`` and Jacobian ``jac`` at the prior mean."""
+def ekf_step(x, P, motion, z, measure, Q, R, angle_idx=None):
+    """One extended-Kalman step; ``z`` may be None for prediction only.
+
+    ``motion`` maps the state to the predicted state and its Jacobian,
+    ``measure`` maps the predicted state to the predicted observation and its
+    Jacobian.  The component ``angle_idx``, if any, is wrapped to (-pi, pi].
+    """
+    x_prior, F = motion(x)
+    x_prior = _wrap_component(x_prior, angle_idx)
+    P_prior = _propagate(F, P, Q)
+    if z is None:
+        return x_prior, P_prior
+    z_hat, jac = measure(x_prior)
     innovation = z - z_hat
     S = jac @ P_prior @ jac.T + R
     try:
@@ -248,23 +238,9 @@ def ekf_update(x_prior, P_prior, z, z_hat, jac, R, angle_idx=None):
     return x_post, P_post
 
 
-def ekf_step_core(x, P, f, F, z, h, H, Q, R, angle_idx=None):
-    """One extended-Kalman step; ``z`` may be None for prediction only."""
-    x = np.asarray(x, dtype=float)
-    x_prior = _wrap_component(np.asarray(f(x), dtype=float), angle_idx)
-    P_prior = _propagate(F, P, Q)
-    if z is None:
-        return x_prior, P_prior
-    jac = np.asarray(H(x_prior), dtype=float)
-    z_hat = np.asarray(h(x_prior), dtype=float)
-    return ekf_update(
-        x_prior, P_prior, np.asarray(z, dtype=float), z_hat, jac, R, angle_idx
-    )
-
-
 def ukf_weights(params: UkfParams, state_dim: int = STATE_DIM):
-    """Mean and covariance weights for the 2L+1 sigma points."""
-    lam = params.lam(state_dim)
+    """Mean and covariance weights for the 2L+1 sigma points, and lambda."""
+    lam = params.alpha**2 * state_dim - state_dim
     denom = state_dim + lam
     w_mean = np.full(2 * state_dim + 1, 1.0 / (2.0 * denom))
     w_cov = w_mean.copy()
@@ -316,26 +292,29 @@ def _ut_residuals(points: np.ndarray, mean: np.ndarray, angle_idx) -> np.ndarray
     return res
 
 
-def ukf_predict(x, P, f_points, Q, weights, angle_idx=None):
-    """Unscented prediction with additive process noise ``Q``; ``weights``
-    is the ``ukf_weights`` triple."""
+def ukf_step(x, P, motion, z, measure, Q, R, weights, angle_idx=None):
+    """One unscented step with additive noise; ``z`` may be None for
+    prediction only.
+
+    ``motion`` and ``measure`` map an (m, n) array of sigma points to their
+    propagated states / predicted observations; ``weights`` is the
+    ``ukf_weights`` triple.  Q is added to the prior covariance after the
+    unscented prediction; the update then redraws sigma points from the
+    Q-inflated prior (the standard additive-noise form — it is what makes the
+    filter reduce exactly to a Kalman filter on linear models) and R is added
+    to the innovation covariance.
+    """
     w_mean, w_cov, lam = weights
-    points = sigma_points(x, P, lam)
-    propagated = np.asarray(f_points(points), dtype=float)
+    propagated = motion(sigma_points(x, P, lam))
     x_prior = _ut_mean(propagated, w_mean, angle_idx)
     res_x = _ut_residuals(propagated, x_prior, angle_idx)
     P_prior = _symmetrize((res_x * w_cov[:, None]).T @ res_x + Q)
-    return _wrap_component(x_prior, angle_idx), P_prior
-
-
-def ukf_update(x_prior, P_prior, z, h_points, R, weights, angle_idx=None):
-    """Unscented update of a prior by the observation ``z``, from sigma
-    points redrawn from the prior; ``weights`` is the ``ukf_weights``
-    triple."""
-    w_mean, w_cov, lam = weights
-    update_points = sigma_points(x_prior, P_prior, lam)
-    res_x = _ut_residuals(update_points, x_prior, angle_idx)
-    predicted = np.asarray(h_points(update_points), dtype=float)
+    x_prior = _wrap_component(x_prior, angle_idx)
+    if z is None:
+        return x_prior, P_prior
+    points = sigma_points(x_prior, P_prior, lam)
+    res_x = _ut_residuals(points, x_prior, angle_idx)
+    predicted = measure(points)
     z_hat = w_mean @ predicted
     res_z = predicted - z_hat
     P_zz = (res_z * w_cov[:, None]).T @ res_z + R
@@ -344,34 +323,28 @@ def ukf_update(x_prior, P_prior, z, h_points, R, weights, angle_idx=None):
         gain = np.linalg.solve(P_zz.T, P_xz.T).T
     except np.linalg.LinAlgError as exc:
         raise FilterError(f"innovation covariance not invertible: {exc}") from exc
-    x_post = _wrap_component(x_prior + gain @ (np.asarray(z, dtype=float) - z_hat), angle_idx)
+    x_post = _wrap_component(x_prior + gain @ (z - z_hat), angle_idx)
     P_post = _symmetrize(P_prior - gain @ P_zz @ gain.T)
     return x_post, P_post
 
 
-def ukf_step_core(x, P, f_points, z, h_points, Q, R, params: UkfParams, angle_idx=None):
-    """One unscented step with additive noise.
+def hinf_step(x, P, motion, z, measure, Q, R_inv, gamma: float, angle_idx=None):
+    """One H-infinity step in information form; ``z`` may be None for
+    prediction only.
 
-    ``f_points`` and ``h_points`` map an (m, n) array of sigma points to
-    their propagated states / predicted observations.  Q is added to the
-    prior covariance after the unscented prediction; the update then redraws
-    sigma points from the Q-inflated prior (the standard additive-noise
-    form — it is what makes the filter reduce exactly to a Kalman filter on
-    linear models) and R is added to the innovation covariance.  ``z`` may be
-    None for prediction only.
+    ``motion`` and ``measure`` are as for ``ekf_step``, and ``R_inv`` is the
+    inverse of the observation covariance.  With M = P^-1 - gamma*I +
+    H^T R^-1 H (whose positive definiteness is the filter's existence
+    condition), the gain is K = A M^-1 H^T R^-1 and the updated covariance is
+    A M^-1 A^T + Q, where H is the observation Jacobian at the predicted state
+    and A the motion Jacobian.  Without an observation the step degrades to
+    covariance propagation A P A^T + Q.
     """
-    x = np.asarray(x, dtype=float)
-    weights = ukf_weights(params, len(x))
-    x_prior, P_prior = ukf_predict(x, P, f_points, Q, weights, angle_idx)
+    x_prior, A = motion(x)
+    x_prior = _wrap_component(x_prior, angle_idx)
     if z is None:
-        return x_prior, P_prior
-    return ukf_update(x_prior, P_prior, z, h_points, R, weights, angle_idx)
-
-
-def hinf_update(x_prior, P, A, z, z_hat, jac, Q, R_inv, gamma: float, angle_idx=None):
-    """H-infinity update of the predicted mean ``x_prior`` by the observation
-    ``z``, given its prediction ``z_hat`` and Jacobian ``jac`` there, the
-    previous covariance ``P``, the motion Jacobian ``A`` and R^-1."""
+        return x_prior, _propagate(A, P, Q)
+    z_hat, jac = measure(x_prior)
     try:
         P_inv = np.linalg.inv(P)
     except np.linalg.LinAlgError as exc:
@@ -391,36 +364,9 @@ def hinf_update(x_prior, P, A, z, z_hat, jac, Q, R_inv, gamma: float, angle_idx=
     return x_post, P_post
 
 
-def hinf_step_core(x, P, f, A, z, h, H, Q, R, gamma: float, angle_idx=None):
-    """One H-infinity step in information form.
-
-    With M = P^-1 - gamma*I + H^T R^-1 H (whose positive definiteness is the
-    filter's existence condition), the gain is K = A M^-1 H^T R^-1 and the
-    updated covariance is A M^-1 A^T + Q.  Without an observation the step
-    degrades to covariance propagation A P A^T + Q.
-    """
-    x = np.asarray(x, dtype=float)
-    x_prior = _wrap_component(np.asarray(f(x), dtype=float), angle_idx)
-    if z is None:
-        return x_prior, _propagate(A, P, Q)
-    jac = np.asarray(H(x_prior), dtype=float)
-    z_hat = np.asarray(h(x_prior), dtype=float)
-    return hinf_update(
-        x_prior, P, A, np.asarray(z, dtype=float), z_hat, jac, Q,
-        np.linalg.inv(R), gamma, angle_idx,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Pose-level filter step
 # ---------------------------------------------------------------------------
-
-def _pose_prior(x, odo):
-    """Predicted pose (heading wrapped) and motion Jacobian from one model
-    evaluation."""
-    x_pred, F = process_model(x, odo, jacobian=True)
-    return _wrap_component(x_pred, THETA_INDEX), F
-
 
 def filter_step(
     state: FilterState,
@@ -435,9 +381,7 @@ def filter_step(
     ``Q`` is the per-epoch process covariance (``ProcessNoise.matrix()``).
     Prediction only when ``obs`` is None; otherwise ``cluster`` describes
     the observed cluster in the frame of ``state``.  Each kind evaluates the
-    motion and range models once per step; its result equals that of its
-    generic core (``ekf_step_core``, ``ukf_step_core``, ``hinf_step_core``)
-    called with the same models as callables.
+    motion and range models once per step.
     """
     z = None
     if obs is not None:

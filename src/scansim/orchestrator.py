@@ -307,9 +307,6 @@ def run_scan(
     filter_kind: str = "ekf",
     method: str = "analytical",
     inverse: bool = False,
-    process_noise: ProcessNoise | None = None,
-    ukf_params: UkfParams | None = None,
-    hinf_params: HinfParams | None = None,
 ) -> ScanResult:
     """Fold the state machine over all frames and score the outcome.
 
@@ -325,19 +322,6 @@ def run_scan(
     noiseless = (
         noise.sigma_d_odo == 0 and noise.sigma_theta_odo == 0 and noise.sigma_us == 0
     )
-    if process_noise is None:
-        # The per-epoch process noise of this motion model is the odometry
-        # noise itself, so the scenario's declared levels are the defaults.
-        process_noise = ProcessNoise(
-            max(noise.sigma_d_odo, ZERO_NOISE_SIGMA),
-            max(noise.sigma_d_odo, ZERO_NOISE_SIGMA),
-            max(noise.sigma_theta_odo, ZERO_NOISE_SIGMA),
-        )
-    filter_params = {
-        "ekf": EkfParams(),
-        "ukf": ukf_params or UkfParams(),
-        "hinf": hinf_params or HinfParams(),
-    }[filter_kind]
     sigma_xy, sigma_theta = (
         (ZERO_NOISE_SIGMA, ZERO_NOISE_SIGMA)
         if noiseless
@@ -347,8 +331,14 @@ def run_scan(
         config=config,
         filter_kind=filter_kind,
         method=method,
-        filter_params=filter_params,
-        Q=process_noise.matrix(),
+        filter_params={"ekf": EkfParams, "ukf": UkfParams, "hinf": HinfParams}[filter_kind](),
+        # the per-epoch process noise of this motion model is the odometry
+        # noise itself
+        Q=ProcessNoise(
+            max(noise.sigma_d_odo, ZERO_NOISE_SIGMA),
+            max(noise.sigma_d_odo, ZERO_NOISE_SIGMA),
+            max(noise.sigma_theta_odo, ZERO_NOISE_SIGMA),
+        ).matrix(),
         P0=np.diag([sigma_xy**2, sigma_xy**2, sigma_theta**2]),
     )
 
@@ -397,22 +387,11 @@ def run_scan(
         mode=config.mode,
     )
     if inverse:
-        result = inverse_trajectory_pass(
-            frames,
-            result,
-            config,
-            filter_kind,
-            method,
-            process_noise=process_noise,
-            ukf_params=ukf_params,
-            hinf_params=hinf_params,
-        )
+        result = inverse_trajectory_pass(frames, result, config, filter_kind, method)
     return result
 
 
-def inverse_trajectory_pass(
-    frames, forward_result, config, filter_kind, method, **estimator_kwargs
-):
+def inverse_trajectory_pass(frames, forward_result, config, filter_kind, method):
     """Re-run the pipeline on the reversed measurement stream and merge.
 
     The recorded odometry is dead-reckoned, the implied pose sequence is
@@ -421,8 +400,7 @@ def inverse_trajectory_pass(
     final position.  The calibrations of the last ``inverse_correct_count``
     clusters calibrated in the forward pass are replaced by their reverse-pass
     counterparts, which see those clusters first and therefore with the least
-    accumulated drift.  Extra keyword arguments (estimator tuning) are passed
-    through to the reverse run so both passes use identical settings.
+    accumulated drift.
 
     Skipped with a warning when the forward pass did not end inside the
     coverage of a globally referenced cluster.
@@ -442,10 +420,7 @@ def inverse_trajectory_pass(
         return forward_result
 
     reversed_stream = simulator.reverse_frames(frames)
-    reverse_result = run_scan(
-        reversed_stream, config, filter_kind, method, inverse=False,
-        **estimator_kwargs,
-    )
+    reverse_result = run_scan(reversed_stream, config, filter_kind, method)
     return merge_inverse_result(forward_result, reverse_result, count)
 
 

@@ -47,17 +47,13 @@ def gauss_newton_fix(
     u: UlpsDescriptor,
     z_mr: float,
     mode: Mode,
-    initial_guess=None,
-    max_iterations: int = MAX_ITERATIONS,
-    step_tol: float = STEP_TOL,
 ) -> StaticFix:
     """Solve the floor-plane position from one observation set.
 
     Iterates Gauss-Newton steps on the residual between observed and modeled
-    values with the receiver height fixed, starting from ``initial_guess``
-    (default: the beacon centroid, which is the cluster center for the square
-    layouts used here).  Stops when the step norm drops below ``step_tol`` or
-    after ``max_iterations``.
+    values with the receiver height fixed, starting from the beacon centroid
+    (the cluster center for the square layouts used here).  Stops when the
+    step norm drops below ``STEP_TOL`` or after ``MAX_ITERATIONS``.
 
     An ill-conditioned normal matrix is retried once with diagonal damping;
     a second occurrence raises ``GeometryError`` (near-collinear beacons).
@@ -76,15 +72,11 @@ def gauss_newton_fix(
             f"'{u.id}' in {mode.value} mode (expected {expected_dim})"
         )
 
-    if initial_guess is None:
-        xy = beacons[:, :2].mean(axis=0)
-    else:
-        xy = np.array(initial_guess, dtype=float)
-
+    xy = beacons[:, :2].mean(axis=0)
     damped = False
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         modeled, jac = predict_ranges(xy, beacons, z_mr, mode, jacobian=True)
         residual = modeled - z
         normal = jac.T @ jac
@@ -99,7 +91,7 @@ def gauss_newton_fix(
             normal = normal + DAMPING * np.eye(2)
         step = np.linalg.solve(normal, -gradient)
         xy = xy + step
-        if float(np.hypot(*step)) < step_tol:
+        if float(np.hypot(*step)) < STEP_TOL:
             converged = True
             break
 
@@ -114,9 +106,7 @@ def gauss_newton_fix(
     )
 
 
-def bootstrap_state(
-    fix0: StaticFix, fix1: StaticFix, min_separation: float = MIN_FIX_SEPARATION
-) -> Pose:
+def bootstrap_state(fix0: StaticFix, fix1: StaticFix) -> Pose:
     """State vector from two consecutive fixes: second position, motion heading."""
     if not (fix0.converged and fix1.converged):
         raise GeometryError("both fixes must have converged")
@@ -124,9 +114,9 @@ def bootstrap_state(
         raise GeometryError(f"fix frames differ: {fix0.frame} vs {fix1.frame}")
     dx = fix1.position[0] - fix0.position[0]
     dy = fix1.position[1] - fix0.position[1]
-    if math.hypot(dx, dy) < min_separation:
+    if math.hypot(dx, dy) < MIN_FIX_SEPARATION:
         raise GeometryError(
             f"fixes are {math.hypot(dx, dy):.4f} m apart; "
-            f"need at least {min_separation} m for a usable heading"
+            f"need at least {MIN_FIX_SEPARATION} m for a usable heading"
         )
     return Pose(fix1.position[0], fix1.position[1], math.atan2(dy, dx), frame=fix1.frame)

@@ -123,6 +123,11 @@ class UlpsDescriptor:
                 f"cluster '{self.id}': beacon coordinates, coverage_center, "
                 "coverage_radius and orientation must be finite"
             )
+        if self.is_global and self.orientation != 0.0:
+            raise ScenarioError(
+                f"cluster '{self.id}': orientation applies only to locally "
+                f"referenced clusters, got {self.orientation} on a globally referenced one"
+            )
 
     @property
     def is_global(self) -> bool:
@@ -187,9 +192,12 @@ class ScenarioConfig:
         object.__setattr__(self, "z_mr", float(self.z_mr))
         object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "d_min", float(self.d_min))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "inverse_correct_count", int(self.inverse_correct_count))
-        object.__setattr__(self, "max_points", int(self.max_points))
+        for name in ("seed", "inverse_correct_count", "max_points"):
+            # a bool or a fractional number is rejected rather than truncated
+            value = getattr(self, name)
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
         if not self.ulps:
             raise ScenarioError("ulps: no clusters defined")
@@ -327,8 +335,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"noise: {exc}") from exc
 
+    ulps_raw = _get(data, "ulps", "scenario")
+    if not isinstance(ulps_raw, list):
+        raise ScenarioError("ulps: must be a list of clusters")
     ulps = []
-    for idx, raw in enumerate(_get(data, "ulps", "scenario")):
+    for idx, raw in enumerate(ulps_raw):
         where = f"ulps[{idx}]"
         try:
             ulps.append(

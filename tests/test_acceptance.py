@@ -21,10 +21,10 @@ from scansim.filters import (
     MeasurementNoise,
     ProcessNoise,
     UkfParams,
-    ekf_step_core,
+    ekf_step,
     filter_step,
-    hinf_step_core,
-    ukf_step_core,
+    hinf_step,
+    ukf_step,
     ukf_weights,
 )
 from scansim.geometry import TransformVector, predict_ranges, transform_point
@@ -187,20 +187,20 @@ def test_criterion_7_filter_cross_validation():
     H = np.array([[1.0, 0.0]])
     Q = np.diag([1e-4, 1e-4])
     R = np.array([[0.04]])
-    params = UkfParams(alpha=1.0, beta=2.0, kappa=0.0)
+    weights = ukf_weights(UkfParams(alpha=1.0, beta=2.0), state_dim=2)
     x_e = x_u = np.array([0.0, 1.0])
     P_e = P_u = np.eye(2) * 0.5
     rng = np.random.default_rng(17)
     ukf_gap = 0.0
     for _ in range(40):
         z = np.array([rng.normal(1.0, 0.2)])
-        x_e, P_e = ekf_step_core(
-            x_e, P_e, f=lambda s: F @ s, F=F, z=z,
-            h=lambda s: H @ s, H=lambda s: H, Q=Q, R=R,
+        x_e, P_e = ekf_step(
+            x_e, P_e, motion=lambda s: (F @ s, F), z=z,
+            measure=lambda s: (H @ s, H), Q=Q, R=R,
         )
-        x_u, P_u = ukf_step_core(
-            x_u, P_u, f_points=lambda pts: pts @ F.T, z=z,
-            h_points=lambda pts: pts @ H.T, Q=Q, R=R, params=params,
+        x_u, P_u = ukf_step(
+            x_u, P_u, motion=lambda pts: pts @ F.T, z=z,
+            measure=lambda pts: pts @ H.T, Q=Q, R=R, weights=weights,
         )
         ukf_gap = max(ukf_gap, float(np.max(np.abs(x_u - x_e))))
 
@@ -212,10 +212,10 @@ def test_criterion_7_filter_cross_validation():
     hinf_gap = 0.0
     for _ in range(50):
         z = rng.normal(0.7, math.sqrt(Rs))
-        x_h, P_h = hinf_step_core(
-            x_h, P_h, f=lambda s: A * s, A=np.array([[A]]), z=np.array([z]),
-            h=lambda s: Hs * s, H=lambda s: np.array([[Hs]]),
-            Q=np.array([[Qs]]), R=np.array([[Rs]]), gamma=1e-9,
+        x_h, P_h = hinf_step(
+            x_h, P_h, motion=lambda s: (A * s, np.array([[A]])), z=np.array([z]),
+            measure=lambda s: (Hs * s, np.array([[Hs]])),
+            Q=np.array([[Qs]]), R_inv=np.linalg.inv(np.array([[Rs]])), gamma=1e-9,
         )
         x_pred = A * x_k
         gain = A * p_k * Hs / (Hs * p_k * Hs + Rs)

@@ -13,11 +13,11 @@ from scansim.filters import (
     MeasurementNoise,
     ProcessNoise,
     UkfParams,
-    ekf_step_core,
+    ekf_step,
     filter_step,
-    hinf_step_core,
+    hinf_step,
     sigma_points,
-    ukf_step_core,
+    ukf_step,
     ukf_weights,
 )
 from scansim.geometry import predict_ranges, process_model
@@ -177,7 +177,7 @@ class TestNoiseModels:
 
 class TestUkfWeights:
     def test_reference_values(self):
-        w_mean, w_cov, lam = ukf_weights(UkfParams(alpha=0.001, beta=2.0, kappa=0.0))
+        w_mean, w_cov, lam = ukf_weights(UkfParams(alpha=0.001, beta=2.0))
         assert lam == pytest.approx(3e-6 - 3)
         assert w_mean[0] == pytest.approx(-9.99999e5, rel=1e-6)
         assert w_mean[1] == pytest.approx(1.6666667e5, rel=1e-6)
@@ -187,10 +187,6 @@ class TestUkfWeights:
     def test_mean_weights_sum_to_one(self):
         w_mean, _, _ = ukf_weights(UkfParams())
         assert math.fsum(w_mean) == pytest.approx(1.0, abs=1e-9)
-
-    def test_kappa_range_enforced(self):
-        with pytest.raises(FilterError, match="kappa"):
-            ukf_weights(UkfParams(kappa=1.0))  # 3 - L = 0 for the pose problem
 
     def test_alpha_range_enforced(self):
         with pytest.raises(FilterError, match="alpha"):
@@ -216,8 +212,8 @@ class TestUkfWeights:
 
     @pytest.mark.parametrize(
         "tuning",
-        [{"alpha": 0.0}, {"alpha": 1.5}, {"alpha": math.nan}, {"kappa": -1.0}, {"beta": math.inf}],
-        ids=["alpha-0", "alpha-1.5", "alpha-nan", "kappa-negative", "beta-inf"],
+        [{"alpha": 0.0}, {"alpha": 1.5}, {"alpha": math.nan}, {"beta": math.inf}],
+        ids=["alpha-0", "alpha-1.5", "alpha-nan", "beta-inf"],
     )
     def test_invalid_tuning_raises_on_construction(self, tuning):
         with pytest.raises(FilterError, match=next(iter(tuning))):
@@ -374,61 +370,7 @@ class TestZeroNoiseTracking:
         assert worst <= tol
 
 
-def generic_core_step(params, state, odo, obs, model, process_noise):
-    """One step of the generic core of ``params``, built from plain model
-    callables the way the pose-level step used to build it."""
-    x = state.pose.as_array()
-    Q = process_noise.matrix()
-    z = None if obs is None else np.asarray(obs.values, dtype=float)
-    R = None if obs is None else model.R
-
-    def f(s):
-        return process_model(s, odo)
-
-    def h(s):
-        return predict_ranges(s, model.beacons, model.z_mr, model.mode)
-
-    def H(s):
-        return predict_ranges(s, model.beacons, model.z_mr, model.mode, jacobian=True)[1]
-
-    F = process_model(x, odo, jacobian=True)[1]
-    if isinstance(params, UkfParams):
-        return ukf_step_core(x, state.P, f, z, h, Q, R, params, angle_idx=2)
-    if isinstance(params, HinfParams):
-        return hinf_step_core(x, state.P, f, F, z, h, H, Q, R, params.gamma, angle_idx=2)
-    return ekf_step_core(x, state.P, f, F, z, h, H, Q, R, angle_idx=2)
-
-
 class TestPoseStepMatchesGenericCore:
-    @pytest.mark.parametrize(
-        "params", [EkfParams(), UkfParams(), HinfParams()], ids=["ekf", "ukf", "hinf"]
-    )
-    @pytest.mark.parametrize("mode", [Mode.SPHERICAL, Mode.HYPERBOLIC])
-    def test_seeded_sequence_bit_identical(self, gr_cluster, params, mode):
-        rng = np.random.default_rng(21)
-        process_noise = ProcessNoise(0.01, 0.01, 0.01)
-        r = MeasurementNoise.for_cluster(mode, 0.005, 5)
-        model = cluster_model(gr_cluster, mode, r)
-        truth = Pose(-2.0, 0.4, 0.2)
-        state = FilterState(Pose(-1.95, 0.42, 0.25), 0.02 * np.eye(3))
-        updates = 0
-        for k in range(50):
-            odo = OdometryIncrement(0.08 + rng.normal(0, 0.01), rng.normal(0, 0.02))
-            truth = Pose(*process_model(truth.as_array(), odo))
-            obs = None
-            if k % 4 != 0:
-                values = measurement_model(truth, gr_cluster, Z_MR, mode)
-                noise = rng.normal(0, 0.005, len(values))
-                obs = UsObservation("gr", tuple(values + noise))
-                updates += 1
-            x_ref, P_ref = generic_core_step(params, state, odo, obs, model, process_noise)
-            state = filter_step(
-                state, odo, obs, model if obs else None, process_noise.matrix(), params
-            )
-            assert np.array_equal(state.pose.as_array(), Pose(*x_ref).as_array()), k
-            assert np.array_equal(state.P, P_ref), k
-        assert 0 < updates < 50
-
     @pytest.mark.parametrize("params", [EkfParams(), HinfParams()], ids=["ekf", "hinf"])
     @pytest.mark.parametrize("mode", [Mode.SPHERICAL, Mode.HYPERBOLIC])
     def test_zero_distance_jacobian_raises(self, params, mode):
@@ -452,23 +394,23 @@ class TestLinearModelCrossValidation:
         H = np.array([[1.0, 0.0]])
         Q = np.diag([1e-4, 1e-4])
         R = np.array([[0.04]])
-        params = UkfParams(alpha=1.0, beta=2.0, kappa=0.0)
+        weights = ukf_weights(UkfParams(alpha=1.0, beta=2.0), state_dim=2)
         x_e = x_u = np.array([0.0, 1.0])
         P_e = P_u = np.eye(2) * 0.5
         rng = np.random.default_rng(11)
         for _ in range(30):
             z = np.array([rng.normal(1.0, 0.2)])
-            x_e, P_e = ekf_step_core(
+            x_e, P_e = ekf_step(
                 x_e, P_e,
-                f=lambda s: F @ s, F=F,
-                z=z, h=lambda s: H @ s, H=lambda s: H,
+                motion=lambda s: (F @ s, F),
+                z=z, measure=lambda s: (H @ s, H),
                 Q=Q, R=R,
             )
-            x_u, P_u = ukf_step_core(
+            x_u, P_u = ukf_step(
                 x_u, P_u,
-                f_points=lambda pts: pts @ F.T,
-                z=z, h_points=lambda pts: pts @ H.T,
-                Q=Q, R=R, params=params,
+                motion=lambda pts: pts @ F.T,
+                z=z, measure=lambda pts: pts @ H.T,
+                Q=Q, R=R, weights=weights,
             )
             assert x_u == pytest.approx(x_e, abs=1e-8)
             assert P_u == pytest.approx(P_e, abs=1e-8)
@@ -482,12 +424,12 @@ class TestLinearModelCrossValidation:
         rng = np.random.default_rng(3)
         for _ in range(50):
             z = rng.normal(0.7, math.sqrt(R))
-            x_h, P_h = hinf_step_core(
+            x_h, P_h = hinf_step(
                 x_h, P_h,
-                f=lambda s: A * s, A=np.array([[A]]),
+                motion=lambda s: (A * s, np.array([[A]])),
                 z=np.array([z]),
-                h=lambda s: H * s, H=lambda s: np.array([[H]]),
-                Q=np.array([[Q]]), R=np.array([[R]]),
+                measure=lambda s: (H * s, np.array([[H]])),
+                Q=np.array([[Q]]), R_inv=np.linalg.inv(np.array([[R]])),
                 gamma=1e-9,
             )
             # predictor-form scalar Kalman filter

@@ -229,11 +229,21 @@ class TestScenarioValidation:
             (("ulps", 0, "beacons", 0, 2), math.inf, "'gr1'.* must be finite"),
             (("noise", "sigma_us"), math.nan, "sigma_us must be finite"),
             (("noise", "sigma_d_odo"), math.inf, "sigma_d_odo must be finite"),
+            (("ulps",), None, "ulps: must be a list"),
+            (("ulps",), 3, "ulps: must be a list"),
+            (("ulps",), "abc", "ulps: must be a list"),
+            (("seed",), 1.7, "seed must be an integer"),
+            (("seed",), True, "seed must be an integer"),
+            (("inverse_correct_count",), False, "inverse_correct_count must be an integer"),
+            (("max_points",), 2.9, "max_points must be an integer"),
+            (("ulps", 0, "orientation"), 0.3, "'gr1'.* orientation applies only"),
         ],
         ids=[
             "negative-seed", "inf-speed", "nan-speed", "inf-z_mr", "inf-waypoint",
             "nan-start", "nan-coverage-center", "inf-coverage-radius", "nan-orientation",
             "inf-beacon-x", "inf-beacon-z", "nan-sigma_us", "inf-sigma_d_odo",
+            "null-ulps", "number-ulps", "string-ulps", "fractional-seed", "bool-seed",
+            "bool-inverse_correct_count", "fractional-max_points", "global-orientation",
         ],
     )
     def test_negative_seed_and_non_finite_numbers_rejected(
@@ -246,6 +256,13 @@ class TestScenarioValidation:
         target[path[-1]] = value
         with pytest.raises(ScenarioError, match=match):
             config_from_dict(data)
+
+
+    def test_integral_floats_accepted_as_integers(self, default_config):
+        data = config_to_dict(default_config)
+        data.update(seed=4.0, inverse_correct_count=2.0, max_points=7.0)
+        config = config_from_dict(data)
+        assert (config.seed, config.inverse_correct_count, config.max_points) == (4, 2, 7)
 
 
 class TestScenarioFiles:
