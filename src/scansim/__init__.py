@@ -14,7 +14,6 @@ from .calibration import (
     CorrespondenceLog,
     accumulate_analytical,
     analytical_tc,
-    beacon_error,
     calibrate_beacons,
     mean_distance_error,
     numerical_tc,
@@ -65,6 +64,7 @@ from .simulator import (
     MeasurementFrame,
     OdometryIncrement,
     UsObservation,
+    beacon_error,
     generate_trajectory,
     load_frames,
     measure_odometry,

@@ -317,19 +317,3 @@ def calibrate_beacons(u: UlpsDescriptor, t: TransformVector) -> tuple[Beacon, ..
         Beacon(float(x), float(y), b.z) for (x, y), b in zip(mapped, u.beacons)
     )
 
-
-def per_beacon_errors(estimated, truth) -> np.ndarray:
-    """Floor-plane distance between each estimated beacon and its true twin."""
-    if len(estimated) != len(truth):
-        raise ValueError(
-            f"beacon count mismatch: {len(estimated)} estimated vs {len(truth)} true"
-        )
-    est = np.array([[b.x, b.y] for b in estimated])
-    tru = np.array([[b.x, b.y] for b in truth])
-    diff = est - tru
-    return np.hypot(diff[:, 0], diff[:, 1])
-
-
-def beacon_error(estimated, truth) -> float:
-    """Mean floor-plane beacon position error for one cluster."""
-    return float(np.mean(per_beacon_errors(estimated, truth)))

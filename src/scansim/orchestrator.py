@@ -25,7 +25,6 @@ from .calibration import (
     accumulate_analytical,
     calibrate_beacons,
     numerical_tc,
-    per_beacon_errors,
 )
 from .errors import CalibrationError, GeometryError, ScanError
 from .filters import (
@@ -59,7 +58,9 @@ ZERO_NOISE_SIGMA = 1e-6
 
 @dataclass
 class CalibrationRecord:
-    """Outcome of calibrating one locally referenced cluster."""
+    """Outcome of calibrating one locally referenced cluster; its score
+    against ground truth, ``per_beacon_errors``, stays empty until the run
+    is scored."""
 
     cluster_id: str
     method: str
@@ -67,13 +68,17 @@ class CalibrationRecord:
     beacons: tuple[Beacon, ...]
     calibration_epoch: int
     source: str = "forward"
-    beacon_error: float | None = None
     per_beacon_errors: tuple[float, ...] = ()
     replaced_forward: "CalibrationRecord | None" = None
 
     @property
     def implied_scale(self) -> float:
         return self.transform.scale
+
+    @property
+    def beacon_error(self) -> float | None:
+        """Mean floor-plane beacon error; None until the run is scored."""
+        return float(np.mean(self.per_beacon_errors)) if self.per_beacon_errors else None
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,32 @@ class _RunParams:
     filter_params: EkfParams | UkfParams | HinfParams
     Q: np.ndarray
     P0: np.ndarray
+
+    @classmethod
+    def bind(cls, config: ScenarioConfig, filter_kind: str, method: str) -> "_RunParams":
+        if filter_kind not in FILTER_KINDS:
+            raise ValueError(f"filter_kind must be one of {FILTER_KINDS}, got {filter_kind!r}")
+        if method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        noise = config.noise
+        if noise.sigma_d_odo == noise.sigma_theta_odo == noise.sigma_us == 0:
+            sigma_xy = sigma_theta = ZERO_NOISE_SIGMA
+        else:
+            sigma_xy, sigma_theta = BOOTSTRAP_SIGMA_XY, BOOTSTRAP_SIGMA_THETA
+        return cls(
+            config=config,
+            filter_kind=filter_kind,
+            method=method,
+            filter_params={"ekf": EkfParams, "ukf": UkfParams, "hinf": HinfParams}[filter_kind](),
+            # the per-epoch process noise of this motion model is the odometry
+            # noise itself
+            Q=ProcessNoise(
+                max(noise.sigma_d_odo, ZERO_NOISE_SIGMA),
+                max(noise.sigma_d_odo, ZERO_NOISE_SIGMA),
+                max(noise.sigma_theta_odo, ZERO_NOISE_SIGMA),
+            ).matrix(),
+            P0=np.diag([sigma_xy**2, sigma_xy**2, sigma_theta**2]),
+        )
 
     def cluster_model(self, beacons: tuple[Beacon, ...]) -> ClusterModel:
         config = self.config
@@ -177,18 +208,19 @@ class ScanState:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Everything a run produces, plus ground-truth scoring."""
+    """Everything a run produces; ``global_rmse`` and the records'
+    ``per_beacon_errors`` are its scores, NaN and empty until it is scored."""
 
     global_trajectory: tuple
     local_trajectories: dict
     calibrations: dict
     uncalibrated: tuple
     warnings: tuple
-    global_rmse: float
     filter_kind: str
     method: str
     mode: Mode
     inverse_applied: bool = False
+    global_rmse: float = float("nan")
 
 
 def _finalize_cluster(state: ScanState, cid: str, epoch: int, params: _RunParams) -> None:
@@ -215,19 +247,8 @@ def _finalize_cluster(state: ScanState, cid: str, epoch: int, params: _RunParams
         state.warnings.append(str(exc))
         return
 
-    u = config.cluster(cid)
-    beacons = calibrate_beacons(u, transform)
-    truth = simulator.true_global_beacons(u)
-    errors = per_beacon_errors(beacons, truth)
-    state.calibrated[cid] = CalibrationRecord(
-        cluster_id=cid,
-        method=params.method,
-        transform=transform,
-        beacons=beacons,
-        calibration_epoch=epoch,
-        beacon_error=float(np.mean(errors)),
-        per_beacon_errors=tuple(float(e) for e in errors),
-    )
+    beacons = calibrate_beacons(config.cluster(cid), transform)
+    state.calibrated[cid] = CalibrationRecord(cid, params.method, transform, beacons, epoch)
     state.models[cid] = params.cluster_model(beacons)
     state.anchor_centers[cid] = np.mean([[b.x, b.y] for b in beacons], axis=0)
 
@@ -290,58 +311,9 @@ def scan_step(
     return state
 
 
-def _global_rmse(state: ScanState, frames: list[simulator.MeasurementFrame]) -> float:
-    if not state.global_lane.trajectory:
-        return float("nan")
-    truth = {f.epoch: f.true_pose for f in frames}
-    errors = [
-        np.hypot(*(pose.xy - truth[epoch].xy))
-        for epoch, pose in state.global_lane.trajectory
-    ]
-    return float(np.sqrt(np.mean(np.square(errors))))
-
-
-def run_scan(
-    frames: list[simulator.MeasurementFrame],
-    config: ScenarioConfig,
-    filter_kind: str = "ekf",
-    method: str = "analytical",
-    inverse: bool = False,
-) -> ScanResult:
-    """Fold the state machine over all frames and score the outcome.
-
-    With ``inverse=True`` the recorded stream is replayed backwards afterwards
-    and the calibrations of the last ``config.inverse_correct_count`` clusters
-    calibrated in the forward pass are replaced by their reverse-pass values.
-    """
-    if filter_kind not in FILTER_KINDS:
-        raise ValueError(f"filter_kind must be one of {FILTER_KINDS}, got {filter_kind!r}")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    noise = config.noise
-    noiseless = (
-        noise.sigma_d_odo == 0 and noise.sigma_theta_odo == 0 and noise.sigma_us == 0
-    )
-    sigma_xy, sigma_theta = (
-        (ZERO_NOISE_SIGMA, ZERO_NOISE_SIGMA)
-        if noiseless
-        else (BOOTSTRAP_SIGMA_XY, BOOTSTRAP_SIGMA_THETA)
-    )
-    params = _RunParams(
-        config=config,
-        filter_kind=filter_kind,
-        method=method,
-        filter_params={"ekf": EkfParams, "ukf": UkfParams, "hinf": HinfParams}[filter_kind](),
-        # the per-epoch process noise of this motion model is the odometry
-        # noise itself
-        Q=ProcessNoise(
-            max(noise.sigma_d_odo, ZERO_NOISE_SIGMA),
-            max(noise.sigma_d_odo, ZERO_NOISE_SIGMA),
-            max(noise.sigma_theta_odo, ZERO_NOISE_SIGMA),
-        ).matrix(),
-        P0=np.diag([sigma_xy**2, sigma_xy**2, sigma_theta**2]),
-    )
-
+def _fold(frames: list[simulator.MeasurementFrame], params: _RunParams) -> ScanResult:
+    """Fold the state machine over ``frames`` into an unscored result."""
+    config = params.config
     state = ScanState(
         models={u.id: params.cluster_model(u.beacons) for u in config.ulps},
         anchor_centers={
@@ -371,7 +343,7 @@ def run_scan(
     for cid in uncalibrated:
         state.warnings.append(f"cluster '{cid}' was not calibrated in this pass")
 
-    result = ScanResult(
+    return ScanResult(
         global_trajectory=tuple(state.global_lane.trajectory),
         local_trajectories={
             cid: tuple(lane.trajectory)
@@ -381,47 +353,74 @@ def run_scan(
         calibrations=dict(state.calibrated),
         uncalibrated=uncalibrated,
         warnings=tuple(state.warnings),
-        global_rmse=_global_rmse(state, frames),
-        filter_kind=filter_kind,
-        method=method,
+        filter_kind=params.filter_kind,
+        method=params.method,
         mode=config.mode,
     )
+
+
+def _score(result: ScanResult, frames: list, config: ScenarioConfig) -> ScanResult:
+    """Score a result against the simulator's ground truth, the forward
+    records an inverse pass replaced included.  The only step of a run that
+    reads truth."""
+
+    def scored(record):
+        truth = simulator.true_global_beacons(config.cluster(record.cluster_id))
+        return replace(
+            record,
+            per_beacon_errors=tuple(simulator.per_beacon_errors(record.beacons, truth).tolist()),
+            replaced_forward=record.replaced_forward and scored(record.replaced_forward),
+        )
+
+    return replace(
+        result,
+        calibrations={cid: scored(record) for cid, record in result.calibrations.items()},
+        global_rmse=simulator.trajectory_rmse(result.global_trajectory, frames),
+    )
+
+
+def run_scan(
+    frames: list[simulator.MeasurementFrame],
+    config: ScenarioConfig,
+    filter_kind: str = "ekf",
+    method: str = "analytical",
+    inverse: bool = False,
+) -> ScanResult:
+    """Fold the state machine over all frames and score the outcome.
+
+    With ``inverse=True`` the forward result goes on through
+    ``inverse_trajectory_pass``, which scores the merged result.
+    """
+    forward = _fold(frames, _RunParams.bind(config, filter_kind, method))
     if inverse:
-        result = inverse_trajectory_pass(frames, result, config, filter_kind, method)
-    return result
+        return inverse_trajectory_pass(frames, forward, config, filter_kind, method)
+    return _score(forward, frames, config)
 
 
 def inverse_trajectory_pass(frames, forward_result, config, filter_kind, method):
-    """Re-run the pipeline on the reversed measurement stream and merge.
+    """Fold the reversed stream (``simulator.reverse_frames``), merge it into
+    ``forward_result`` and score the merged result.
 
-    The recorded odometry is dead-reckoned, the implied pose sequence is
-    differenced in reverse (headings flipped by pi) to produce reversed
-    increments with no fresh noise, and the full pipeline runs again from the
-    final position.  The calibrations of the last ``inverse_correct_count``
-    clusters calibrated in the forward pass are replaced by their reverse-pass
-    counterparts, which see those clusters first and therefore with the least
-    accumulated drift.
-
-    Skipped with a warning when the forward pass did not end inside the
-    coverage of a globally referenced cluster.
+    The last ``inverse_correct_count`` clusters calibrated in the forward
+    pass take their reverse-pass calibrations, which see them first and so
+    with the least accumulated drift.  Skipped with a warning when the run
+    did not end inside a globally referenced cluster's coverage; the
+    forward result is then returned scored.
     """
+    merged = forward_result
     count = config.inverse_correct_count
-    if count == 0 or not forward_result.calibrations:
-        return forward_result
-
-    gr_ids = {u.id for u in config.global_clusters}
-    last_obs_ids = {o.ulps_id for o in frames[-1].observations}
-    if not (gr_ids & last_obs_ids):
-        warnings.warn(
-            "inverse trajectory pass skipped: the run did not end inside a "
-            "globally referenced cluster's coverage",
-            stacklevel=2,
-        )
-        return forward_result
-
-    reversed_stream = simulator.reverse_frames(frames)
-    reverse_result = run_scan(reversed_stream, config, filter_kind, method)
-    return merge_inverse_result(forward_result, reverse_result, count)
+    if count > 0 and forward_result.calibrations:
+        if {u.id for u in config.global_clusters}.isdisjoint(frames[-1].by_cluster):
+            warnings.warn(
+                "inverse trajectory pass skipped: the run did not end inside a "
+                "globally referenced cluster's coverage",
+                stacklevel=2,
+            )
+        else:
+            params = _RunParams.bind(config, filter_kind, method)
+            reverse = _fold(simulator.reverse_frames(frames), params)
+            merged = merge_inverse_result(forward_result, reverse, count)
+    return _score(merged, frames, config)
 
 
 def merge_inverse_result(
@@ -431,7 +430,8 @@ def merge_inverse_result(
 
     Clusters are ranked by forward calibration epoch; a cluster the reverse
     pass failed to calibrate keeps its forward record (with a warning).  The
-    returned result keeps the forward trajectories and scoring.
+    returned result keeps the forward trajectories; it is scored afterwards,
+    as a whole.
     """
     order = sorted(
         forward.calibrations.values(), key=lambda rec: rec.calibration_epoch

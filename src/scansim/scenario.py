@@ -92,8 +92,9 @@ class UlpsDescriptor:
     For globally referenced clusters the beacon coordinates are map
     coordinates.  For locally referenced clusters they are coordinates in the
     cluster's own frame; ``coverage_center`` and ``orientation`` then describe
-    the true placement of that frame in the map and are used only by the
-    simulator (they are ground truth, never visible to the estimator).
+    the true placement of that frame in the map.  They are ground truth: only
+    the simulator reads them, to synthesize measurements and to score
+    estimates; the estimator never does.
     """
 
     id: str

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -64,7 +64,7 @@ class MeasurementFrame:
     """Everything produced in one epoch.
 
     ``true_pose`` is simulator ground truth carried along for scoring; the
-    estimator side never reads it.
+    estimator reads only ``odo`` and ``observations``.
     """
 
     epoch: int
@@ -82,7 +82,7 @@ class MeasurementFrame:
 
 
 # ---------------------------------------------------------------------------
-# Ground-truth placement of locally referenced clusters
+# Ground truth, and the scores of estimates against it
 # ---------------------------------------------------------------------------
 
 def true_transform(u: UlpsDescriptor) -> TransformVector:
@@ -101,6 +101,31 @@ def true_global_beacons(u: UlpsDescriptor) -> tuple[Beacon, ...]:
     if u.is_global:
         return u.beacons
     return calibrate_beacons(u, true_transform(u))
+
+
+def per_beacon_errors(estimated, truth) -> np.ndarray:
+    """Floor-plane distance between each estimated beacon and its true twin."""
+    if len(estimated) != len(truth):
+        raise ValueError(
+            f"beacon count mismatch: {len(estimated)} estimated vs {len(truth)} true"
+        )
+    diff = np.array([[b.x, b.y] for b in estimated]) - np.array([[b.x, b.y] for b in truth])
+    return np.hypot(diff[:, 0], diff[:, 1])
+
+
+def beacon_error(estimated, truth) -> float:
+    """Mean floor-plane beacon position error for one cluster."""
+    return float(np.mean(per_beacon_errors(estimated, truth)))
+
+
+def trajectory_rmse(trajectory, frames: list[MeasurementFrame]) -> float:
+    """RMS floor-plane distance of ``(epoch, pose)`` estimates from the
+    frames' true poses; NaN for an empty trajectory."""
+    if not trajectory:
+        return float("nan")
+    truth = {f.epoch: f.true_pose for f in frames}
+    errors = [np.hypot(*(pose.xy - truth[epoch].xy)) for epoch, pose in trajectory]
+    return float(np.sqrt(np.mean(np.square(errors))))
 
 
 # ---------------------------------------------------------------------------
@@ -217,40 +242,28 @@ def simulate(config: ScenarioConfig) -> list[MeasurementFrame]:
 def reverse_frames(frames: list[MeasurementFrame]) -> list[MeasurementFrame]:
     """Reversed measurement stream for the backward replay.
 
-    The recorded odometry is dead-reckoned into a pose sequence, which is then
-    differenced in reverse order (headings flipped by pi) to produce reversed
-    increments; no new noise is injected.  Observations are reused unchanged
-    from the matching forward epochs.
+    The recorded odometry is dead-reckoned from the origin (the increments
+    do not depend on where it starts, so no truth is read) and differenced in
+    reverse order, headings flipped by pi, with no new noise.  Each frame
+    reuses the observations of its forward epoch and turns its true pose.
     """
-    if not frames:
-        return []
-    dead_reckoned = [frames[0].true_pose.as_array()]
+    dead_reckoned = [np.zeros(3)]
     for frame in frames[1:]:
         dead_reckoned.append(process_model(dead_reckoned[-1], frame.odo))
-
-    n = len(frames)
-    rev_positions = [dead_reckoned[n - 1 - j][:2] for j in range(n)]
-    thetas = [wrap_angle(dead_reckoned[-1][2] + math.pi)]
+    theta = wrap_angle(dead_reckoned[-1][2] + math.pi)
     odos = [OdometryIncrement(0.0, 0.0)]
-    for j in range(1, n):
-        step = rev_positions[j] - rev_positions[j - 1]
+    for start, end in zip(dead_reckoned[::-1], dead_reckoned[-2::-1]):
+        step = end[:2] - start[:2]
         dist = float(np.hypot(*step))
-        theta = math.atan2(step[1], step[0]) if dist > 0 else thetas[-1]
-        odos.append(OdometryIncrement(dist, wrap_angle(theta - thetas[-1])))
-        thetas.append(theta)
-
-    reversed_frames = []
-    for j in range(n):
-        source = frames[n - 1 - j]
-        true_pose = Pose(
-            source.true_pose.x,
-            source.true_pose.y,
-            wrap_angle(source.true_pose.theta + math.pi),
+        heading = math.atan2(step[1], step[0]) if dist > 0 else theta
+        odos.append(OdometryIncrement(dist, wrap_angle(heading - theta)))
+        theta = heading
+    return [
+        MeasurementFrame(
+            j, odo, replace(f.true_pose, theta=f.true_pose.theta + math.pi), f.observations
         )
-        reversed_frames.append(
-            MeasurementFrame(j, odos[j], true_pose, source.observations)
-        )
-    return reversed_frames
+        for j, (odo, f) in enumerate(zip(odos, reversed(frames)))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,14 @@ from scansim.calibration import (
     CorrespondenceLog,
     accumulate_analytical,
     analytical_tc,
-    beacon_error,
     calibrate_beacons,
     mean_distance_error,
     nelder_mead,
     numerical_tc,
-    per_beacon_errors,
     select_spread_points,
 )
 from scansim.errors import CalibrationError
 from scansim.geometry import TransformVector, inverse_transform_point, transform_point
-from scansim.scenario import Beacon
 from scansim.simulator import true_global_beacons, true_transform
 
 
@@ -457,21 +454,3 @@ class TestCalibrateBeacons:
         with pytest.raises(CalibrationError, match="globally referenced"):
             calibrate_beacons(gr_cluster, TransformVector.identity())
 
-
-class TestBeaconError:
-    def test_identical_lists(self, lr_cluster):
-        assert beacon_error(lr_cluster.beacons, lr_cluster.beacons) == 0.0
-
-    def test_uniform_offset_345(self, lr_cluster):
-        shifted = tuple(Beacon(b.x + 0.3, b.y + 0.4, b.z) for b in lr_cluster.beacons)
-        assert beacon_error(shifted, lr_cluster.beacons) == pytest.approx(0.5)
-
-    def test_mixed_offsets_hand_computed(self):
-        truth = (Beacon(0, 0, 3.5), Beacon(1, 0, 3.5))
-        est = (Beacon(0.1, 0, 3.5), Beacon(1, 0.2, 3.5))
-        assert beacon_error(est, truth) == pytest.approx((0.1 + 0.2) / 2)
-        assert per_beacon_errors(est, truth) == pytest.approx([0.1, 0.2])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            beacon_error((Beacon(0, 0, 1),), (Beacon(0, 0, 1), Beacon(1, 1, 1)))

@@ -8,6 +8,7 @@ from scansim.orchestrator import merge_inverse_result, run_scan
 from scansim.scenario import (
     Mode,
     NoiseParams,
+    Pose,
     ScenarioConfig,
     UlpsDescriptor,
     UlpsKind,
@@ -268,11 +269,15 @@ class TestBootstrap:
 
 
 class TestGroundTruthFirewall:
+    @pytest.mark.parametrize("method", ["analytical", "numerical"])
     @pytest.mark.parametrize("filter_kind", ["ekf", "ukf", "hinf"])
-    def test_local_cluster_placement_is_never_read(self, default_config, filter_kind):
-        # the true placement of a locally referenced cluster is simulator
-        # ground truth: hiding it may change the scores, nothing else
+    def test_no_truth_is_read(self, default_config, filter_kind, method):
+        # the true poses and the true placement of each locally referenced
+        # cluster are simulator ground truth: hiding them may change the
+        # scores, nothing else
         frames = simulate(default_config)
+        unknown = Pose(math.nan, math.nan, math.nan)
+        blind_frames = [replace(f, true_pose=unknown) for f in frames]
         blind = replace(
             default_config,
             ulps=tuple(
@@ -280,27 +285,34 @@ class TestGroundTruthFirewall:
                 for u in default_config.ulps
             ),
         )
-        seen = run_scan(frames, default_config, filter_kind, "analytical", inverse=True)
-        hidden = run_scan(frames, blind, filter_kind, "analytical", inverse=True)
+        seen = run_scan(frames, default_config, filter_kind, method, inverse=True)
+        hidden = run_scan(blind_frames, blind, filter_kind, method, inverse=True)
 
         def poses(trajectory):
             return [(e, p.x, p.y, p.theta, p.frame) for e, p in trajectory]
 
+        def estimate(record):
+            if record is None:
+                return None
+            return (
+                record.transform.as_array().tolist(),
+                record.beacons,
+                record.calibration_epoch,
+                record.source,
+                estimate(record.replaced_forward),
+            )
+
+        def calibrations(result):
+            return {cid: estimate(record) for cid, record in result.calibrations.items()}
+
+        assert seen.inverse_applied and hidden.inverse_applied
         assert poses(hidden.global_trajectory) == poses(seen.global_trajectory)
-        assert hidden.global_rmse == seen.global_rmse
         assert hidden.local_trajectories.keys() == seen.local_trajectories.keys()
         for cid, trajectory in seen.local_trajectories.items():
             assert poses(hidden.local_trajectories[cid]) == poses(trajectory), cid
-        assert hidden.calibrations.keys() == seen.calibrations.keys()
+        assert calibrations(hidden) == calibrations(seen)
         assert hidden.uncalibrated == seen.uncalibrated
-        for cid, record in seen.calibrations.items():
-            other = hidden.calibrations[cid]
-            assert other.transform.as_array().tolist() == record.transform.as_array().tolist()
-            assert other.beacons == record.beacons
-            assert (other.calibration_epoch, other.source) == (
-                record.calibration_epoch,
-                record.source,
-            )
+        assert math.isnan(hidden.global_rmse)
 
 
 class TestReplay:

@@ -42,3 +42,14 @@ def test_changed_and_one_sided_files_listed(tmp_path):
         "r/only_a",
         "r/only_b",
     ]
+
+
+def test_differing_json_sized_by_its_largest_numeric_difference(tmp_path):
+    make_tree(tmp_path / "a", {"r/summary.json": b'{"x": [1.0, 2.0], "y": "a", "z": NaN}\n'})
+    make_tree(tmp_path / "b", {"r/summary.json": b'{"x": [1.5, 2.25], "y": "b", "z": NaN}\n'})
+    done = compare(tmp_path / "a", tmp_path / "b")
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [
+        "1 files compared, 1 differ",
+        "r/summary.json  largest numeric difference 0.5",
+    ]

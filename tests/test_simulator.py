@@ -7,20 +7,23 @@ import pytest
 
 from scansim.errors import ScenarioError
 from scansim.geometry import process_model
-from scansim.scenario import Mode, NoiseParams, Pose, beacon_array, in_coverage
+from scansim.scenario import Beacon, Mode, NoiseParams, Pose, beacon_array, in_coverage
 from scansim.simulator import (
     MeasurementFrame,
     OdometryIncrement,
     UsObservation,
+    beacon_error,
     frames_from_jsonable,
     frames_to_jsonable,
     generate_trajectory,
     load_frames,
     measure_odometry,
     measure_ultrasound,
+    per_beacon_errors,
     reverse_frames,
     save_frames,
     simulate,
+    trajectory_rmse,
     true_global_beacons,
     true_transform,
 )
@@ -254,6 +257,11 @@ class TestReverseFrames:
     def test_empty_stream(self):
         assert reverse_frames([]) == []
 
+    def test_increments_read_no_truth(self, default_config):
+        frames = simulate(default_config)
+        blind = [replace(f, true_pose=Pose(math.nan, math.nan, math.nan)) for f in frames]
+        assert [f.odo for f in reverse_frames(blind)] == [f.odo for f in reverse_frames(frames)]
+
 
 class TestFrameLog:
     def test_round_trip(self, tmp_path, default_config):
@@ -268,3 +276,35 @@ class TestFrameLog:
         restored = frames_from_jsonable(frames_to_jsonable(frames))
         assert isinstance(restored[0], MeasurementFrame)
         assert isinstance(restored[0].observations[0], UsObservation)
+
+
+class TestBeaconError:
+    def test_identical_lists(self, lr_cluster):
+        assert beacon_error(lr_cluster.beacons, lr_cluster.beacons) == 0.0
+
+    def test_uniform_offset_345(self, lr_cluster):
+        shifted = tuple(Beacon(b.x + 0.3, b.y + 0.4, b.z) for b in lr_cluster.beacons)
+        assert beacon_error(shifted, lr_cluster.beacons) == pytest.approx(0.5)
+
+    def test_mixed_offsets_hand_computed(self):
+        truth = (Beacon(0, 0, 3.5), Beacon(1, 0, 3.5))
+        est = (Beacon(0.1, 0, 3.5), Beacon(1, 0.2, 3.5))
+        assert beacon_error(est, truth) == pytest.approx((0.1 + 0.2) / 2)
+        assert per_beacon_errors(est, truth) == pytest.approx([0.1, 0.2])
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            beacon_error((Beacon(0, 0, 1),), (Beacon(0, 0, 1), Beacon(1, 1, 1)))
+
+
+class TestTrajectoryRmse:
+    def test_hand_computed(self, quiet_config):
+        frames = simulate(quiet_config)[:3]
+        trajectory = [
+            (1, Pose(frames[1].true_pose.x + 0.3, frames[1].true_pose.y + 0.4, 0.0)),
+            (2, frames[2].true_pose),
+        ]
+        assert trajectory_rmse(trajectory, frames) == pytest.approx(math.sqrt(0.25 / 2))
+
+    def test_empty_trajectory_is_nan(self, quiet_config):
+        assert math.isnan(trajectory_rmse((), simulate(quiet_config)))

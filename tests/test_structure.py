@@ -3,7 +3,8 @@
 Every import sits at module level: none is hidden inside a function body or
 behind ``if TYPE_CHECKING``, where it would mask an import cycle.  The
 third-party packages the modules import are exactly the declared runtime
-dependencies.
+dependencies.  The estimator modules, and the orchestrator outside its
+scoring step, name no ground truth.
 """
 
 import ast
@@ -17,7 +18,8 @@ import pytest
 
 import scansim
 
-MODULES = sorted(Path(scansim.__file__).parent.glob("*.py"))
+PACKAGE = Path(scansim.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 #: Distribution names of the imported packages whose names differ.
@@ -99,3 +101,56 @@ def test_cli_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": str(Path(scansim.__file__).parent.parent)},
     )
     assert out.stdout.strip() == "[]"
+
+
+#: Ground truth of the simulation, which the estimator may not read.
+TRUTH = {"true_pose", "true_global_beacons", "true_transform"}
+
+#: The one orchestrator function that scores a run against ground truth.
+SCORING_STEP = "_score"
+
+
+def names(tree: ast.AST) -> set[str]:
+    """Every name, attribute, keyword argument, imported name and string
+    constant (as passed to ``getattr``) in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            found.add(node.arg)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_truth_names_detected():
+    source = (
+        "from .simulator import true_transform\n"
+        "x = frame.true_pose\n"
+        "y = getattr(frame, 'true_global_beacons')\n"
+    )
+    assert names(ast.parse(source)) & TRUTH == TRUTH
+
+
+@pytest.mark.parametrize("module", ["calibration", "filters", "positioning"])
+def test_estimator_modules_name_no_truth(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert names(tree) & TRUTH == set()
+
+
+def test_only_the_scoring_step_of_the_orchestrator_names_truth():
+    tree = ast.parse((PACKAGE / "orchestrator.py").read_text())
+    scoring = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == SCORING_STEP
+    ]
+    assert len(scoring) == 1
+    assert names(scoring[0]) & TRUTH
+    tree.body.remove(scoring[0])
+    assert names(tree) & TRUTH == set()

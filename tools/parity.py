@@ -11,7 +11,9 @@ per combination under OUT, with ``runtime_s`` removed from each
     python tools/parity.py --compare parent-out change-out
 
 ``--compare A B`` lists every file that differs or exists on one side only
-and exits 1 if there is any.
+and exits 1 if there is any.  A JSON file that differs is listed with the
+largest absolute difference between the numbers at the same place in its
+two versions, so that a change is sized as well as located.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,6 +70,35 @@ def compare(a: Path, b: Path) -> list[str]:
     return differ
 
 
+def numeric_leaves(data, path=()) -> dict:
+    """``{path: number}`` for every number in a parsed JSON document."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    elif isinstance(data, (int, float)) and not isinstance(data, bool):
+        return {path: float(data)}
+    else:
+        return {}
+    leaves = {}
+    for key, value in items:
+        leaves.update(numeric_leaves(value, path + (key,)))
+    return leaves
+
+
+def largest_difference(a: Path, b: Path) -> float:
+    """Largest absolute difference between the numbers at the same place in
+    two JSON files: 0 if only other values differ, inf where one is NaN."""
+    left, right = (numeric_leaves(json.loads(path.read_text())) for path in (a, b))
+    largest = 0.0
+    for key in left.keys() & right.keys():
+        x, y = left[key], right[key]
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            diff = abs(x - y)
+            largest = max(largest, math.inf if math.isnan(diff) else diff)
+    return largest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, help="the source tree holding the scansim package")
@@ -74,9 +106,14 @@ def main(argv=None) -> int:
     parser.add_argument("out", nargs="?", type=Path, help="output directory")
     args = parser.parse_args(argv)
     if args.compare:
-        differ = compare(*args.compare)
+        a, b = args.compare
+        differ = compare(a, b)
         for rel in differ:
-            print(rel)
+            if rel.endswith(".json") and (a / rel).is_file() and (b / rel).is_file():
+                size = largest_difference(a / rel, b / rel)
+                print(f"{rel}  largest numeric difference {size:.3g}")
+            else:
+                print(rel)
         return 1 if differ else 0
     if args.src is None or args.out is None:
         parser.error("give --src SRC OUT, or --compare A B")
