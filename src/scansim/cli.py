@@ -16,7 +16,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ScanError
-from .orchestrator import FILTER_KINDS, METHODS, run_scan
+from .filters import FILTER_KINDS
+from .orchestrator import METHODS, run_scan
 from .reporting import (
     BatchAggregate,
     RunSummary,
@@ -79,7 +80,7 @@ def _execute_single(config: ScenarioConfig, filter_kind, method, inverse):
     frames = simulate(config)
     result = run_scan(frames, config, filter_kind, method, inverse=inverse)
     runtime = time.perf_counter() - started
-    summary = summarize_run(result, config, config.seed, runtime)
+    summary = summarize_run(result, config, runtime)
     return frames, result, summary
 
 

@@ -3,18 +3,17 @@
 All three filters estimate the same 3-state vector [x, y, theta] from
 odometry increments and per-cluster ultrasound observations.  Each filter is
 one step function on arrays and model callables (``ekf_step``, ``ukf_step``,
-``hinf_step``).  The parameter object of each filter kind binds the motion
-and range models of ``geometry`` and the observed cluster's noise to its step
-function, and one pose-level step (``filter_step``) hands the pose to it.
-The linear cross-validation fixtures of the test suite call the same step
-functions with linear models.
+``hinf_step``), tuned by module constants.  One pose-level step,
+``filter_step``, binds the motion and range models of ``geometry`` and the
+observed cluster's noise (``ClusterModel``) to the step function of the
+filter kind it is given.  The linear cross-validation fixtures of the test
+suite call the same step functions with linear models and other tuning.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -30,128 +29,13 @@ THETA_INDEX = 2
 #: would otherwise produce a singular innovation covariance.
 SIGMA_US_FLOOR = 1e-6
 
+#: Sigma-point spread of the UKF, lambda = alpha^2 L - L.  kappa is 0: the
+#: Julier-Uhlmann choice kappa = 3 - L for the 3-state pose.
+UKF_ALPHA = 0.001
+UKF_BETA = 2.0
 
-# ---------------------------------------------------------------------------
-# Noise models
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProcessNoise:
-    """Diagonal per-epoch process noise (x, y in meters, theta in radians)."""
-
-    sigma_x: float = 0.01
-    sigma_y: float = 0.01
-    sigma_theta: float = 0.01
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(
-            [self.sigma_x**2, self.sigma_y**2, self.sigma_theta**2]
-        )
-
-
-@dataclass(frozen=True)
-class MeasurementNoise:
-    """Ultrasound measurement covariance for one cluster.
-
-    Spherical observations are independent: R = sigma^2 * I.  Hyperbolic
-    observations are differences against a shared reference beacon, so every
-    pair of them shares the reference's noise: sigma^2 on the diagonal and
-    0.5 * sigma^2 off it.  That matrix is positive definite for any dimension.
-    """
-
-    mode: Mode
-    sigma_us: float
-    dimension: int
-
-    def __post_init__(self):
-        if not self.sigma_us > 0:
-            raise FilterError("measurement noise sigma must be > 0")
-        if self.dimension < 1:
-            raise FilterError("measurement dimension must be >= 1")
-
-    @classmethod
-    def for_cluster(cls, mode: Mode, sigma_us: float, beacon_count: int) -> "MeasurementNoise":
-        """Noise model matching the simulator for a per-distance std ``sigma_us``.
-
-        Hyperbolic observations are differences of two distance measurements,
-        so one difference carries sqrt(2) times the per-distance noise.
-        """
-        mode = Mode(mode)
-        if mode is Mode.SPHERICAL:
-            dim, sigma = beacon_count, float(sigma_us)
-        else:
-            dim, sigma = beacon_count - 1, math.sqrt(2.0) * float(sigma_us)
-        return cls(mode, max(sigma, SIGMA_US_FLOOR), dim)
-
-    def matrix(self) -> np.ndarray:
-        var = self.sigma_us**2
-        if Mode(self.mode) is Mode.SPHERICAL:
-            return var * np.eye(self.dimension)
-        return 0.5 * var * (np.eye(self.dimension) + np.ones((self.dimension, self.dimension)))
-
-
-@dataclass(frozen=True)
-class UkfParams:
-    """Sigma-point spread parameters; lambda = alpha^2 L - L.
-
-    kappa is 0: the Julier-Uhlmann choice kappa = 3 - L for the 3-state pose.
-    """
-
-    alpha: float = 0.001
-    beta: float = 2.0
-
-    def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise FilterError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not math.isfinite(self.beta):
-            raise FilterError(f"beta must be finite, got {self.beta}")
-
-    @cached_property
-    def weights(self):
-        """``ukf_weights`` for the pose state, computed on first use and then
-        kept, since a run binds one parameter object."""
-        return ukf_weights(self)
-
-    def step(self, x, P, odo, z, cluster, Q):
-        """Unscented step on a pose state; the models need no Jacobians."""
-        # the range model reads ``cluster`` only when there is an observation
-        return ukf_step(
-            x, P, lambda points: process_model(points, odo), z,
-            lambda points: cluster.ranges(points),
-            Q, None if z is None else cluster.R, self.weights, THETA_INDEX,
-        )
-
-
-@dataclass(frozen=True)
-class HinfParams:
-    """Attenuation level for the minimax filter; larger is more aggressive."""
-
-    gamma: float = 0.2
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise FilterError("gamma must be > 0")
-
-    def step(self, x, P, odo, z, cluster, Q):
-        """H-infinity step on a pose state, with the cluster's bound R^-1."""
-        return hinf_step(
-            x, P, lambda s: process_model(s, odo, jacobian=True), z,
-            lambda s: cluster.ranges(s, jacobian=True),
-            Q, None if z is None else cluster.R_inv, self.gamma, THETA_INDEX,
-        )
-
-
-@dataclass(frozen=True)
-class EkfParams:
-    """The extended Kalman filter, which has no tuning of its own."""
-
-    def step(self, x, P, odo, z, cluster, Q):
-        """Extended-Kalman step on a pose state."""
-        return ekf_step(
-            x, P, lambda s: process_model(s, odo, jacobian=True), z,
-            lambda s: cluster.ranges(s, jacobian=True),
-            Q, None if z is None else cluster.R, THETA_INDEX,
-        )
+#: Attenuation level of the H-infinity filter; larger is more aggressive.
+HINF_GAMMA = 0.2
 
 
 @dataclass(frozen=True)
@@ -159,19 +43,33 @@ class ClusterModel:
     """What a filter update needs to know about one observed cluster.
 
     ``beacons`` is the (I, 3) beacon array in the filter's frame, ``z_mr``
-    the receiver height and ``R`` the observation covariance (see
-    ``MeasurementNoise``).  ``R_inv`` is its inverse, for the H-infinity
-    update, computed once when the model is built.
+    the receiver height and ``sigma_us`` the per-distance ultrasound noise
+    std.  ``R`` is the observation covariance and ``R_inv`` its inverse, for
+    the H-infinity update, both computed once when the model is built.
+    Spherical observations are independent: R = sigma^2 * I.  A hyperbolic
+    observation is the difference of two distances, so it carries sqrt(2)
+    times the per-distance noise, and every pair of them shares the
+    reference beacon's noise: sigma^2 on the diagonal and 0.5 * sigma^2 off
+    it, which is positive definite for any dimension.  sigma is floored at
+    ``SIGMA_US_FLOOR``.
     """
 
     beacons: np.ndarray
     z_mr: float
     mode: Mode
-    R: np.ndarray
+    sigma_us: float
+    R: np.ndarray = field(init=False, repr=False)
     R_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "R_inv", np.linalg.inv(self.R))
+        dim, sigma = len(self.beacons), float(self.sigma_us)
+        if Mode(self.mode) is Mode.SPHERICAL:
+            R = max(sigma, SIGMA_US_FLOOR) ** 2 * np.eye(dim)
+        else:
+            dim, sigma = dim - 1, max(math.sqrt(2.0) * sigma, SIGMA_US_FLOOR)
+            R = 0.5 * sigma**2 * (np.eye(dim) + np.ones((dim, dim)))
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "R_inv", np.linalg.inv(R))
 
     def ranges(self, x, jacobian: bool = False):
         """``geometry.predict_ranges`` of this cluster at the state(s) ``x``."""
@@ -238,15 +136,19 @@ def ekf_step(x, P, motion, z, measure, Q, R, angle_idx=None):
     return x_post, P_post
 
 
-def ukf_weights(params: UkfParams, state_dim: int = STATE_DIM):
+def ukf_weights(alpha: float, beta: float, state_dim: int = STATE_DIM):
     """Mean and covariance weights for the 2L+1 sigma points, and lambda."""
-    lam = params.alpha**2 * state_dim - state_dim
+    lam = alpha**2 * state_dim - state_dim
     denom = state_dim + lam
     w_mean = np.full(2 * state_dim + 1, 1.0 / (2.0 * denom))
     w_cov = w_mean.copy()
     w_mean[0] = lam / denom
-    w_cov[0] = lam / denom + 1.0 - params.alpha**2 + params.beta
+    w_cov[0] = lam / denom + 1.0 - alpha**2 + beta
     return w_mean, w_cov, lam
+
+
+#: ``ukf_weights`` of the pose filter, computed once.
+UKF_WEIGHTS = ukf_weights(UKF_ALPHA, UKF_BETA)
 
 
 def sigma_points(x: np.ndarray, P: np.ndarray, lam: float) -> np.ndarray:
@@ -374,16 +276,16 @@ def filter_step(
     obs: UsObservation | None,
     cluster: ClusterModel | None,
     Q: np.ndarray,
-    params: EkfParams | UkfParams | HinfParams = EkfParams(),
+    kind: str = "ekf",
 ) -> FilterState:
-    """One step of the filter that ``params`` selects.
+    """One step of the filter named ``kind`` (one of ``FILTER_KINDS``).
 
-    ``Q`` is the per-epoch process covariance (``ProcessNoise.matrix()``).
-    Prediction only when ``obs`` is None; otherwise ``cluster`` describes
-    the observed cluster in the frame of ``state``.  Each kind evaluates the
-    motion and range models once per step.
+    ``Q`` is the per-epoch process covariance.  Prediction only when ``obs``
+    is None; otherwise ``cluster`` describes the observed cluster in the
+    frame of ``state``.  Each kind evaluates the motion and range models once
+    per step.
     """
-    z = None
+    z = R = None
     if obs is not None:
         if cluster is None:
             raise FilterError("a cluster model is required when an observation is present")
@@ -392,11 +294,35 @@ def filter_step(
             raise FilterError(
                 f"observation dimension {len(z)} != noise dimension {len(cluster.R)}"
             )
-    x, P = params.step(state.pose.as_array(), state.P, odo, z, cluster, Q)
+        # the H-infinity update takes the bound inverse
+        R = cluster.R_inv if kind == "hinf" else cluster.R
+    x, P = state.pose.as_array(), state.P
+    if kind == "ekf":
+        x, P = ekf_step(
+            x, P, lambda s: process_model(s, odo, jacobian=True), z,
+            lambda s: cluster.ranges(s, jacobian=True), Q, R, THETA_INDEX,
+        )
+    elif kind == "ukf":
+        # the range model reads ``cluster`` only when there is an observation
+        x, P = ukf_step(
+            x, P, lambda points: process_model(points, odo), z,
+            lambda points: cluster.ranges(points), Q, R, UKF_WEIGHTS, THETA_INDEX,
+        )
+    elif kind == "hinf":
+        x, P = hinf_step(
+            x, P, lambda s: process_model(s, odo, jacobian=True), z,
+            lambda s: cluster.ranges(s, jacobian=True), Q, R, HINF_GAMMA, THETA_INDEX,
+        )
+    else:
+        raise FilterError(f"filter kind must be one of {FILTER_KINDS}, got {kind!r}")
     return FilterState(Pose(x[0], x[1], x[2], frame=state.frame), P)
 
 
+#: The filter kinds ``filter_step`` runs.
+FILTER_KINDS = ("ekf", "ukf", "hinf")
+
 #: The step of each filter kind.  All kinds share ``filter_step``; callers
 #: look the step up here by kind on every call, so that one kind's steps can
-#: be wrapped (to trace or time them) apart from the others.
-FILTER_STEPS = {"ekf": filter_step, "ukf": filter_step, "hinf": filter_step}
+#: be wrapped (to trace or time them) apart from the others.  The
+#: observation is always the third positional argument.
+FILTER_STEPS = dict.fromkeys(FILTER_KINDS, filter_step)

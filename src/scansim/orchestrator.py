@@ -27,21 +27,11 @@ from .calibration import (
     numerical_tc,
 )
 from .errors import CalibrationError, GeometryError, ScanError
-from .filters import (
-    FILTER_STEPS,
-    ClusterModel,
-    EkfParams,
-    FilterState,
-    HinfParams,
-    MeasurementNoise,
-    ProcessNoise,
-    UkfParams,
-)
+from .filters import FILTER_KINDS, FILTER_STEPS, ClusterModel, FilterState
 from .geometry import Mode, TransformVector
 from .positioning import StaticFix, bootstrap_state, gauss_newton_fix
 from .scenario import Beacon, ScenarioConfig, beacon_array
 
-FILTER_KINDS = ("ekf", "ukf", "hinf")
 METHODS = ("analytical", "numerical")
 
 #: Covariance assigned right after a two-fix bootstrap: generous enough to
@@ -83,15 +73,14 @@ class CalibrationRecord:
 
 @dataclass(frozen=True)
 class _RunParams:
-    """What one run binds once: the scenario, the estimator and its tuning,
-    the process covariance ``Q`` every filter step uses and the covariance
+    """What one run binds once: the scenario, the estimator, the process
+    covariance ``Q`` every filter step uses and the covariance
     ``P0`` every bootstrap starts from (shared, as steps never write into a
     covariance)."""
 
     config: ScenarioConfig
     filter_kind: str
     method: str
-    filter_params: EkfParams | UkfParams | HinfParams
     Q: np.ndarray
     P0: np.ndarray
 
@@ -106,25 +95,21 @@ class _RunParams:
             sigma_xy = sigma_theta = ZERO_NOISE_SIGMA
         else:
             sigma_xy, sigma_theta = BOOTSTRAP_SIGMA_XY, BOOTSTRAP_SIGMA_THETA
+        # the per-epoch process noise of this motion model is the odometry
+        # noise itself
+        q_xy = max(noise.sigma_d_odo, ZERO_NOISE_SIGMA)
+        q_theta = max(noise.sigma_theta_odo, ZERO_NOISE_SIGMA)
         return cls(
             config=config,
             filter_kind=filter_kind,
             method=method,
-            filter_params={"ekf": EkfParams, "ukf": UkfParams, "hinf": HinfParams}[filter_kind](),
-            # the per-epoch process noise of this motion model is the odometry
-            # noise itself
-            Q=ProcessNoise(
-                max(noise.sigma_d_odo, ZERO_NOISE_SIGMA),
-                max(noise.sigma_d_odo, ZERO_NOISE_SIGMA),
-                max(noise.sigma_theta_odo, ZERO_NOISE_SIGMA),
-            ).matrix(),
+            Q=np.diag([q_xy**2, q_xy**2, q_theta**2]),
             P0=np.diag([sigma_xy**2, sigma_xy**2, sigma_theta**2]),
         )
 
     def cluster_model(self, beacons: tuple[Beacon, ...]) -> ClusterModel:
         config = self.config
-        noise = MeasurementNoise.for_cluster(config.mode, config.noise.sigma_us, len(beacons))
-        return ClusterModel(beacon_array(beacons), config.z_mr, config.mode, noise.matrix())
+        return ClusterModel(beacon_array(beacons), config.z_mr, config.mode, config.noise.sigma_us)
 
 
 @dataclass
@@ -180,7 +165,7 @@ class _Lane:
         """Step on the frame's odometry, updating with ``obs`` if there is one."""
         cluster = None if obs is None else models[obs.ulps_id]
         self.filter = FILTER_STEPS[params.filter_kind](
-            self.filter, frame.odo, obs, cluster, params.Q, params.filter_params
+            self.filter, frame.odo, obs, cluster, params.Q, params.filter_kind
         )
         self.trajectory.append((frame.epoch, self.filter.pose))
 
@@ -393,12 +378,13 @@ def run_scan(
     """
     forward = _fold(frames, _RunParams.bind(config, filter_kind, method))
     if inverse:
-        return inverse_trajectory_pass(frames, forward, config, filter_kind, method)
+        return inverse_trajectory_pass(frames, forward, config)
     return _score(forward, frames, config)
 
 
-def inverse_trajectory_pass(frames, forward_result, config, filter_kind, method):
-    """Fold the reversed stream (``simulator.reverse_frames``), merge it into
+def inverse_trajectory_pass(frames, forward_result, config):
+    """Fold the reversed stream (``simulator.reverse_frames``) with the
+    filter kind and method of ``forward_result``, merge it into
     ``forward_result`` and score the merged result.
 
     The last ``inverse_correct_count`` clusters calibrated in the forward
@@ -407,6 +393,11 @@ def inverse_trajectory_pass(frames, forward_result, config, filter_kind, method)
     did not end inside a globally referenced cluster's coverage; the
     forward result is then returned scored.
     """
+    if forward_result.mode != config.mode:
+        raise ValueError(
+            f"the forward result is in {forward_result.mode.value} mode, "
+            f"the scenario in {config.mode.value} mode"
+        )
     merged = forward_result
     count = config.inverse_correct_count
     if count > 0 and forward_result.calibrations:
@@ -417,7 +408,7 @@ def inverse_trajectory_pass(frames, forward_result, config, filter_kind, method)
                 stacklevel=2,
             )
         else:
-            params = _RunParams.bind(config, filter_kind, method)
+            params = _RunParams.bind(config, forward_result.filter_kind, forward_result.method)
             reverse = _fold(simulator.reverse_frames(frames), params)
             merged = merge_inverse_result(forward_result, reverse, count)
     return _score(merged, frames, config)

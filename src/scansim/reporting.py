@@ -76,7 +76,7 @@ class RunSummary:
 
 
 def summarize_run(
-    result: ScanResult, config: ScenarioConfig, seed: int, runtime_s: float
+    result: ScanResult, config: ScenarioConfig, runtime_s: float
 ) -> RunSummary:
     per_cluster = {}
     per_beacon = {}
@@ -88,7 +88,7 @@ def summarize_run(
             per_cluster[u.id] = record.beacon_error
             per_beacon[u.id] = list(record.per_beacon_errors)
     return RunSummary(
-        seed=seed,
+        seed=config.seed,
         filter_kind=result.filter_kind,
         mode=result.mode.value,
         method=result.method,

@@ -14,13 +14,10 @@ import numpy as np
 from scansim.calibration import analytical_tc
 from scansim.cli import run_batch
 from scansim.filters import (
+    FILTER_KINDS,
+    UKF_WEIGHTS,
     ClusterModel,
-    EkfParams,
     FilterState,
-    HinfParams,
-    MeasurementNoise,
-    ProcessNoise,
-    UkfParams,
     ekf_step,
     filter_step,
     hinf_step,
@@ -163,7 +160,7 @@ def test_criterion_6_inverse_trajectory_benefit():
         config = default_scenario(mode=Mode.SPHERICAL, seed=seed)
         frames = simulate(config)
         forward = run_scan(frames, config, "ekf", "analytical")
-        merged = inverse_trajectory_pass(frames, forward, config, "ekf", "analytical")
+        merged = inverse_trajectory_pass(frames, forward, config)
         order = sorted(
             forward.calibrations.values(), key=lambda r: r.calibration_epoch
         )
@@ -187,7 +184,7 @@ def test_criterion_7_filter_cross_validation():
     H = np.array([[1.0, 0.0]])
     Q = np.diag([1e-4, 1e-4])
     R = np.array([[0.04]])
-    weights = ukf_weights(UkfParams(alpha=1.0, beta=2.0), state_dim=2)
+    weights = ukf_weights(1.0, 2.0, state_dim=2)
     x_e = x_u = np.array([0.0, 1.0])
     P_e = P_u = np.eye(2) * 0.5
     rng = np.random.default_rng(17)
@@ -232,7 +229,7 @@ def test_criterion_8_numerical_property_suite():
     failures = []
 
     # UKF weight-sum identity
-    w_mean, _, _ = ukf_weights(UkfParams())
+    w_mean, _, _ = UKF_WEIGHTS
     if abs(math.fsum(w_mean) - 1.0) > 1e-9:
         failures.append("UKF weight sum")
 
@@ -271,7 +268,7 @@ def test_criterion_8_numerical_property_suite():
     # hyperbolic measurement covariance positive definite
     try:
         for dim in range(1, 9):
-            np.linalg.cholesky(MeasurementNoise(Mode.HYPERBOLIC, 0.005, dim).matrix())
+            np.linalg.cholesky(ClusterModel(np.zeros((dim + 1, 3)), 0.5, Mode.HYPERBOLIC, 0.005).R)
     except np.linalg.LinAlgError:
         failures.append("hyperbolic R not PD")
 
@@ -287,11 +284,10 @@ def test_criterion_8_numerical_property_suite():
         failures.append(f"GN vs grid oracle {worst_gn:.1e}")
 
     # covariance symmetry after every step of every filter
-    q = ProcessNoise(0.03, 0.03, 0.02).matrix()
-    r = MeasurementNoise.for_cluster(Mode.SPHERICAL, 0.005, 5)
-    model = ClusterModel(cluster.beacon_array(), 0.5, Mode.SPHERICAL, r.matrix())
+    q = np.diag([0.03**2, 0.03**2, 0.02**2])
+    model = ClusterModel(cluster.beacon_array(), 0.5, Mode.SPHERICAL, 0.005)
 
-    for params in (EkfParams(), UkfParams(), HinfParams()):
+    for kind in FILTER_KINDS:
         state = FilterState(Pose(-2.0, 0.1, 0.0), 0.01 * np.eye(3))
         truth = Pose(-2.0, 0.1, 0.0)
         for k in range(40):
@@ -299,12 +295,12 @@ def test_criterion_8_numerical_property_suite():
             truth = replace(truth, x=truth.x + 0.05)
             values = predict_ranges(truth.xy, cluster.beacon_array(), 0.5, Mode.SPHERICAL)
             obs = UsObservation("gr1", tuple(values + rng.normal(0, 0.005, 5)))
-            state = filter_step(state, odo, obs, model, q, params)
+            state = filter_step(state, odo, obs, model, q, kind)
             if not np.allclose(state.P, state.P.T, atol=1e-15):
-                failures.append(f"{type(params).__name__} covariance asymmetric")
+                failures.append(f"{kind} covariance asymmetric")
                 break
             if np.min(np.linalg.eigvalsh(state.P)) < -1e-10:
-                failures.append(f"{type(params).__name__} covariance indefinite")
+                failures.append(f"{kind} covariance indefinite")
                 break
 
     check(8, "numerical property suite", not failures, "; ".join(failures) or

@@ -8,10 +8,13 @@ state machine's ``scan_step``, ``gauss_newton_fix``, ``accumulate_analytical``,
 through its module; and ``calibration.mean_distance_error``, which the
 Nelder-Mead objective calls through its module.  A refactor that binds one of
 them elsewhere would make its metric read 0 without any error; these counters
-catch that.
+catch that.  perfbench's ``filters.update_frac`` reads the observation of a
+filter step as its third positional argument, so every step must get a
+``UsObservation`` or None there.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +23,7 @@ import scansim.filters as filters
 import scansim.orchestrator as orchestrator
 import scansim.simulator as simulator
 from scansim.scenario import default_scenario
-from scansim.simulator import simulate
+from scansim.simulator import UsObservation, simulate
 
 
 def counted(counts, name, fn):
@@ -31,13 +34,28 @@ def counted(counts, name, fn):
     return wrapper
 
 
+def counted_step(counts, kind, fn):
+    """``counted``, also counting the steps by their third positional
+    argument: an update, a prediction, or anything else."""
+
+    def wrapper(*args, **kwargs):
+        obs = args[2]
+        if isinstance(obs, UsObservation):
+            counts["step_updates"] += 1
+        else:
+            counts["step_predictions" if obs is None else "step_other"] += 1
+        return fn(*args, **kwargs)
+
+    return counted(counts, f"{kind}_step", wrapper)
+
+
 @pytest.fixture
 def counts(monkeypatch):
     counts = Counter()
     for kind in list(filters.FILTER_STEPS):
         monkeypatch.setitem(
             filters.FILTER_STEPS, kind,
-            counted(counts, f"{kind}_step", filters.FILTER_STEPS[kind]),
+            counted_step(counts, kind, filters.FILTER_STEPS[kind]),
         )
     for owner, name in [
         (orchestrator, "scan_step"),
@@ -73,6 +91,25 @@ def test_every_wrapped_layer_is_called(counts):
         "mean_distance_error",
     ]:
         assert counts[name] > 0, name
+
+
+def test_every_filter_step_gets_an_observation_or_none(counts):
+    config = default_scenario(seed=1)
+    frames = simulate(config)
+    # the default corridor is covered throughout, so every step updates; the
+    # same corridor driven 5.5 m past the end of its coverage adds
+    # prediction-only steps
+    (x0, y0), (x1, y1) = config.waypoints
+    beyond = replace(config, waypoints=((x0, y0), (x1 + 8.0, y1)))
+    beyond_frames = simulate(beyond)
+    for kind in filters.FILTER_STEPS:
+        orchestrator.run_scan(frames, config, kind, "analytical", inverse=True)
+        orchestrator.run_scan(beyond_frames, beyond, kind, "analytical")
+    steps = sum(counts[f"{kind}_step"] for kind in filters.FILTER_STEPS)
+    assert counts["step_updates"] > 0
+    assert counts["step_predictions"] > 0
+    assert counts["step_other"] == 0
+    assert counts["step_updates"] + counts["step_predictions"] == steps
 
 
 def test_inverse_run_calls_every_wrapped_state_machine_layer(counts):

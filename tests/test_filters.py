@@ -6,13 +6,11 @@ import pytest
 import scansim.filters as filters
 from scansim.errors import FilterError
 from scansim.filters import (
+    FILTER_KINDS,
+    SIGMA_US_FLOOR,
+    UKF_BETA,
     ClusterModel,
-    EkfParams,
     FilterState,
-    HinfParams,
-    MeasurementNoise,
-    ProcessNoise,
-    UkfParams,
     ekf_step,
     filter_step,
     hinf_step,
@@ -21,7 +19,16 @@ from scansim.filters import (
     ukf_weights,
 )
 from scansim.geometry import predict_ranges, process_model
-from scansim.scenario import Beacon, Mode, Pose, UlpsDescriptor, UlpsKind
+from scansim.orchestrator import _RunParams, run_scan
+from scansim.scenario import (
+    Beacon,
+    Mode,
+    NoiseParams,
+    Pose,
+    UlpsDescriptor,
+    UlpsKind,
+    default_scenario,
+)
 from scansim.simulator import OdometryIncrement, UsObservation
 
 Z_MR = 0.5
@@ -34,8 +41,17 @@ def make_state(x=0.0, y=0.0, theta=0.0, frame="global", p=0.01):
     return FilterState(Pose(x, y, theta, frame=frame), p * np.eye(3))
 
 
-def cluster_model(u, mode, r):
-    return ClusterModel(u.beacon_array(), Z_MR, mode, r.matrix())
+def process_noise(sigma_x=0.01, sigma_y=0.01, sigma_theta=0.01):
+    return np.diag([sigma_x**2, sigma_y**2, sigma_theta**2])
+
+
+def cluster_model(u, mode, sigma_us=0.005):
+    return ClusterModel(u.beacon_array(), Z_MR, mode, sigma_us)
+
+
+def noise_model(mode, sigma_us, beacon_count):
+    """A cluster model built only for its covariance."""
+    return ClusterModel(np.zeros((beacon_count, 3)), Z_MR, mode, sigma_us)
 
 
 def measurement_model(pose, u, z_mr, mode):
@@ -141,94 +157,73 @@ class TestMeasurementJacobian:
         assert sph.shape == (5, 3)
         assert hyp.shape == (4, 3)
 
+    @pytest.mark.parametrize("kind", ["ekf", "hinf"])
+    @pytest.mark.parametrize("mode", [Mode.SPHERICAL, Mode.HYPERBOLIC])
+    def test_zero_distance_jacobian_raises(self, kind, mode):
+        # the receiver height equals the beacon height and the robot stops
+        # right under (that is, at) a beacon
+        beacons = np.array([[0.0, 0.0, 3.5], [1.0, 0.0, 3.5], [0.0, 1.0, 3.5], [1.0, 1.0, 3.5]])
+        model = ClusterModel(beacons, 3.5, mode, 0.005)
+        obs = UsObservation("gr", tuple(np.ones(len(model.R))))
+        with pytest.raises(FilterError, match="zero emitter-receiver distance"):
+            filter_step(
+                make_state(), OdometryIncrement(0.0, 0.0), obs, model, process_noise(), kind
+            )
+
 
 class TestNoiseModels:
     def test_spherical_diagonal(self):
-        r = MeasurementNoise(Mode.SPHERICAL, 0.005, 5).matrix()
+        r = noise_model(Mode.SPHERICAL, 0.005, 5).R
         assert r == pytest.approx(0.005**2 * np.eye(5))
 
     def test_hyperbolic_structure(self):
-        r = MeasurementNoise(Mode.HYPERBOLIC, 0.01, 4).matrix()
-        assert np.all(np.diag(r) == pytest.approx(1e-4))
+        # a difference carries sqrt(2) the per-distance noise: sigma^2 = 2e-4
+        r = noise_model(Mode.HYPERBOLIC, 0.01, 5).R
+        assert np.all(np.diag(r) == pytest.approx(2e-4))
         off = r[~np.eye(4, dtype=bool)]
-        assert np.all(off == pytest.approx(0.5e-4))
+        assert np.all(off == pytest.approx(1e-4))
 
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_hyperbolic_positive_definite(self, dim):
-        r = MeasurementNoise(Mode.HYPERBOLIC, 0.005, dim).matrix()
+        r = noise_model(Mode.HYPERBOLIC, 0.005, dim + 1).R
         np.linalg.cholesky(r)  # raises if not PD
 
     def test_for_cluster_dimensions_and_difference_noise(self):
-        sph = MeasurementNoise.for_cluster(Mode.SPHERICAL, 0.005, 5)
-        hyp = MeasurementNoise.for_cluster(Mode.HYPERBOLIC, 0.005, 5)
-        assert sph.dimension == 5 and hyp.dimension == 4
-        assert sph.sigma_us == 0.005
+        sph = noise_model(Mode.SPHERICAL, 0.005, 5).R
+        hyp = noise_model(Mode.HYPERBOLIC, 0.005, 5).R
+        assert sph.shape == (5, 5) and hyp.shape == (4, 4)
+        assert np.diag(sph) == pytest.approx([0.005**2] * 5)
         # a difference of two distance measurements carries sqrt(2) the noise
-        assert hyp.sigma_us == pytest.approx(math.sqrt(2) * 0.005)
+        assert np.diag(hyp) == pytest.approx([2 * 0.005**2] * 4)
 
     def test_zero_sigma_floored(self):
-        floored = MeasurementNoise.for_cluster(Mode.SPHERICAL, 0.0, 4)
-        assert floored.sigma_us > 0
+        floored = noise_model(Mode.SPHERICAL, 0.0, 4)
+        assert np.all(np.diag(floored.R) == SIGMA_US_FLOOR**2)
+        assert floored.R_inv == pytest.approx(np.linalg.inv(floored.R))
 
     def test_process_noise_matrix(self):
-        q = ProcessNoise(0.1, 0.2, 0.3).matrix()
-        assert q == pytest.approx(np.diag([0.01, 0.04, 0.09]))
+        config = default_scenario(noise=NoiseParams(0.1, 0.3, 0.005))
+        q = _RunParams.bind(config, "ekf", "analytical").Q
+        assert q == pytest.approx(np.diag([0.01, 0.01, 0.09]))
 
 
 class TestUkfWeights:
     def test_reference_values(self):
-        w_mean, w_cov, lam = ukf_weights(UkfParams(alpha=0.001, beta=2.0))
+        w_mean, w_cov, lam = ukf_weights(0.001, 2.0)
         assert lam == pytest.approx(3e-6 - 3)
         assert w_mean[0] == pytest.approx(-9.99999e5, rel=1e-6)
         assert w_mean[1] == pytest.approx(1.6666667e5, rel=1e-6)
         assert np.all(w_mean[1:] == w_mean[1])
         assert w_cov[0] == pytest.approx(w_mean[0] + 1 - 0.001**2 + 2.0)
+        for bound, computed in zip(filters.UKF_WEIGHTS, (w_mean, w_cov, lam)):
+            assert np.array_equal(bound, computed)
 
     def test_mean_weights_sum_to_one(self):
-        w_mean, _, _ = ukf_weights(UkfParams())
+        w_mean, _, _ = filters.UKF_WEIGHTS
         assert math.fsum(w_mean) == pytest.approx(1.0, abs=1e-9)
 
-    def test_alpha_range_enforced(self):
-        with pytest.raises(FilterError, match="alpha"):
-            ukf_weights(UkfParams(alpha=0.0))
-
-    def test_bound_once_per_parameter_object(self, gr_cluster, monkeypatch):
-        calls = []
-        weights = filters.ukf_weights
-        monkeypatch.setattr(
-            filters, "ukf_weights", lambda *args: calls.append(args) or weights(*args)
-        )
-        params = UkfParams()
-        r = MeasurementNoise.for_cluster(Mode.SPHERICAL, 0.005, 5)
-        model = cluster_model(gr_cluster, Mode.SPHERICAL, r)
-        state = make_state()
-        values = measurement_model(state.pose, gr_cluster, Z_MR, Mode.SPHERICAL)
-        obs = UsObservation("gr", tuple(values))
-        Q = ProcessNoise(0.01, 0.01, 0.01).matrix()
-        for _ in range(3):
-            state = filter_step(state, OdometryIncrement(0.05, 0.0), obs, model, Q, params)
-        assert len(calls) == 1
-        assert all(np.array_equal(a, b) for a, b in zip(params.weights, weights(params)))
-
-    @pytest.mark.parametrize(
-        "tuning",
-        [{"alpha": 0.0}, {"alpha": 1.5}, {"alpha": math.nan}, {"beta": math.inf}],
-        ids=["alpha-0", "alpha-1.5", "alpha-nan", "beta-inf"],
-    )
-    def test_invalid_tuning_raises_on_construction(self, tuning):
-        with pytest.raises(FilterError, match=next(iter(tuning))):
-            UkfParams(**tuning)
-
-    def test_invalid_tuning_raises_at_the_step(self):
-        with pytest.raises(FilterError, match="alpha"):
-            filter_step(
-                make_state(), OdometryIncrement(0.05, 0.0), None, None,
-                ProcessNoise().matrix(), UkfParams(alpha=0.0),
-            )
-
     def test_sigma_points_reproduce_covariance(self):
-        params = UkfParams(alpha=0.5)
-        w_mean, w_cov, lam = ukf_weights(params)
+        w_mean, w_cov, lam = ukf_weights(0.5, 2.0)
         x = np.array([1.0, -2.0, 0.5])
         P = np.array([[0.2, 0.05, 0.0], [0.05, 0.3, 0.01], [0.0, 0.01, 0.1]])
         pts = sigma_points(x, P, lam)
@@ -249,47 +244,40 @@ class TestUkfWeights:
             sigma_points(np.zeros(3), np.diag([1.0, 1.0, -1.0]), 0.0)
 
 
-def _noise_pair(mode, beacons):
-    return ProcessNoise(0.01, 0.01, 0.01).matrix(), MeasurementNoise.for_cluster(
-        mode, 0.005, beacons
-    )
-
-
 class TestZeroInnovation:
     def test_ekf_state_unchanged(self, gr_cluster):
         state = make_state(1.0, 0.5, 0.3)
         odo = OdometryIncrement(0.1, 0.05)
-        q, r = _noise_pair(Mode.SPHERICAL, 5)
+        q = process_noise()
         predicted = Pose(*process_model(state.pose.as_array(), odo))
         z = UsObservation(
             "gr", tuple(measurement_model(predicted, gr_cluster, Z_MR, Mode.SPHERICAL))
         )
-        out = filter_step(state, odo, z, cluster_model(gr_cluster, Mode.SPHERICAL, r), q)
+        out = filter_step(state, odo, z, cluster_model(gr_cluster, Mode.SPHERICAL), q)
         assert out.pose.as_array() == pytest.approx(predicted.as_array(), abs=1e-12)
 
     def test_hinf_state_unchanged(self, gr_cluster):
         state = make_state(1.0, 0.5, 0.3)
         odo = OdometryIncrement(0.1, 0.05)
-        q, r = _noise_pair(Mode.SPHERICAL, 5)
+        q = process_noise()
         predicted = Pose(*process_model(state.pose.as_array(), odo))
         z = UsObservation(
             "gr", tuple(measurement_model(predicted, gr_cluster, Z_MR, Mode.SPHERICAL))
         )
         out = filter_step(
-            state, odo, z, cluster_model(gr_cluster, Mode.SPHERICAL, r), q, HinfParams()
+            state, odo, z, cluster_model(gr_cluster, Mode.SPHERICAL), q, "hinf"
         )
         assert out.pose.as_array() == pytest.approx(predicted.as_array(), abs=1e-12)
 
     def test_ukf_state_equals_prior_mean(self, gr_cluster):
         state = make_state(1.0, 0.5, 0.3)
         odo = OdometryIncrement(0.1, 0.05)
-        q, r = _noise_pair(Mode.SPHERICAL, 5)
-        params = UkfParams()
+        q = process_noise()
         # replicate the unscented flow to obtain zhat, then feed it back:
         # the prediction-only step gives the prior, from which the update
         # redraws its sigma points
-        prior_only = filter_step(state, odo, None, None, q, params)
-        w_mean, _, lam = ukf_weights(params)
+        prior_only = filter_step(state, odo, None, None, q, "ukf")
+        w_mean, _, lam = filters.UKF_WEIGHTS
         pts = sigma_points(prior_only.pose.as_array(), prior_only.P, lam)
         predicted = predict_ranges(
             pts[:, :2], gr_cluster.beacon_array(), Z_MR, Mode.SPHERICAL
@@ -299,9 +287,9 @@ class TestZeroInnovation:
             state,
             odo,
             UsObservation("gr", tuple(z_hat)),
-            cluster_model(gr_cluster, Mode.SPHERICAL, r),
+            cluster_model(gr_cluster, Mode.SPHERICAL),
             q,
-            params,
+            "ukf",
         )
         assert out.pose.as_array() == pytest.approx(
             prior_only.pose.as_array(), abs=1e-9
@@ -310,15 +298,14 @@ class TestZeroInnovation:
 
 class TestPredictionOnly:
     @pytest.mark.parametrize(
-        "params", [EkfParams(), UkfParams(), HinfParams()],
-        ids=["ekf_step", "ukf_step", "hinf_step"],
+        "kind", FILTER_KINDS, ids=["ekf_step", "ukf_step", "hinf_step"]
     )
-    def test_prediction_follows_odometry(self, params):
+    def test_prediction_follows_odometry(self, kind):
         # negligible covariance so the unscented heading contraction vanishes
         state = make_state(0.0, 0.0, 0.0, p=1e-12)
         odo = OdometryIncrement(1.0, 0.0)
-        q = ProcessNoise(0.01, 0.01, 0.01).matrix()
-        out = filter_step(state, odo, None, None, q, params)
+        q = process_noise()
+        out = filter_step(state, odo, None, None, q, kind)
         assert out.pose.x == pytest.approx(1.0)
 
     def test_ukf_prediction_contracts_with_heading_uncertainty(self):
@@ -327,13 +314,13 @@ class TestPredictionOnly:
         state = make_state(0.0, 0.0, 0.0, p=0.01)
         out = filter_step(
             state, OdometryIncrement(1.0, 0.0), None, None,
-            ProcessNoise(0.01, 0.01, 0.01).matrix(), UkfParams(),
+            process_noise(), "ukf",
         )
         assert out.pose.x == pytest.approx(1.0 - 0.01 / 2, abs=1e-5)
 
     def test_ekf_trace_nondecreasing_without_observations(self):
         state = make_state()
-        q = ProcessNoise(0.01, 0.01, 0.01).matrix()
+        q = process_noise()
         traces = [np.trace(state.P)]
         for _ in range(10):
             state = filter_step(state, OdometryIncrement(0.1, 0.0), None, None, q)
@@ -341,18 +328,29 @@ class TestPredictionOnly:
         assert all(b >= a - 1e-15 for a, b in zip(traces, traces[1:]))
 
 
+class TestFilterKinds:
+    @pytest.mark.parametrize("kind", ["kalman", "EKF"])
+    def test_unknown_kind_rejected(self, gr_cluster, kind):
+        obs = UsObservation("gr", (3.6, 3.7, 3.8, 3.9, 3.65))
+        for z, model in [(None, None), (obs, cluster_model(gr_cluster, Mode.SPHERICAL))]:
+            with pytest.raises(FilterError, match="filter kind"):
+                filter_step(make_state(), OdometryIncrement(0.1, 0.0), z, model,
+                            process_noise(), kind)
+        with pytest.raises(ValueError, match="filter_kind"):
+            run_scan([], default_scenario(), kind, "analytical")
+
+
 class TestZeroNoiseTracking:
     @pytest.mark.parametrize(
-        "params,tol",
-        [(EkfParams(), 1e-6), (UkfParams(), 1e-6), (HinfParams(), 1e-4)],
+        "kind,tol",
+        [("ekf", 1e-6), ("ukf", 1e-6), ("hinf", 1e-4)],
         ids=["ekf_step-kwargs0-1e-06", "ukf_step-kwargs1-1e-06", "hinf_step-kwargs2-0.0001"],
     )
     @pytest.mark.parametrize("mode", [Mode.SPHERICAL, Mode.HYPERBOLIC])
-    def test_exact_init_tracks_truth(self, gr_cluster, params, tol, mode):
+    def test_exact_init_tracks_truth(self, gr_cluster, kind, tol, mode):
         # straight pass through the cluster, exact measurements, exact start:
         # the filters must follow the truth to within the stated tolerance
-        q = ProcessNoise(1e-6, 1e-6, 1e-6).matrix()
-        r = MeasurementNoise.for_cluster(mode, 0.0, 5)
+        q = process_noise(1e-6, 1e-6, 1e-6)
         truth = Pose(-2.5, 0.3, 0.0)
         state = FilterState(truth, 1e-12 * np.eye(3))
         worst = 0.0
@@ -362,29 +360,12 @@ class TestZeroNoiseTracking:
                 "gr", tuple(measurement_model(new_truth, gr_cluster, Z_MR, mode))
             )
             state = filter_step(
-                state, OdometryIncrement(0.05, 0.0), z, cluster_model(gr_cluster, mode, r),
-                q, params,
+                state, OdometryIncrement(0.05, 0.0), z, cluster_model(gr_cluster, mode, 0.0),
+                q, kind,
             )
             truth = new_truth
             worst = max(worst, float(np.hypot(*(state.pose.xy - truth.xy))))
         assert worst <= tol
-
-
-class TestPoseStepMatchesGenericCore:
-    @pytest.mark.parametrize("params", [EkfParams(), HinfParams()], ids=["ekf", "hinf"])
-    @pytest.mark.parametrize("mode", [Mode.SPHERICAL, Mode.HYPERBOLIC])
-    def test_zero_distance_jacobian_raises(self, params, mode):
-        # the receiver height equals the beacon height and the robot stops
-        # right under (that is, at) a beacon
-        beacons = np.array([[0.0, 0.0, 3.5], [1.0, 0.0, 3.5], [0.0, 1.0, 3.5], [1.0, 1.0, 3.5]])
-        r = MeasurementNoise.for_cluster(mode, 0.005, 4)
-        model = ClusterModel(beacons, 3.5, mode, r.matrix())
-        obs = UsObservation("gr", tuple(np.ones(r.dimension)))
-        with pytest.raises(FilterError, match="zero emitter-receiver distance"):
-            filter_step(
-                make_state(), OdometryIncrement(0.0, 0.0), obs, model,
-                ProcessNoise().matrix(), params,
-            )
 
 
 class TestLinearModelCrossValidation:
@@ -394,7 +375,7 @@ class TestLinearModelCrossValidation:
         H = np.array([[1.0, 0.0]])
         Q = np.diag([1e-4, 1e-4])
         R = np.array([[0.04]])
-        weights = ukf_weights(UkfParams(alpha=1.0, beta=2.0), state_dim=2)
+        weights = ukf_weights(1.0, 2.0, state_dim=2)
         x_e = x_u = np.array([0.0, 1.0])
         P_e = P_u = np.eye(2) * 0.5
         rng = np.random.default_rng(11)
@@ -440,18 +421,18 @@ class TestLinearModelCrossValidation:
             assert x_h[0] == pytest.approx(x_k, abs=1e-6)
             assert P_h[0, 0] == pytest.approx(p_k, abs=1e-6)
 
-    def test_hinf_gamma_too_aggressive_reported(self, gr_cluster):
+    def test_hinf_gamma_too_aggressive_reported(self, gr_cluster, monkeypatch):
+        monkeypatch.setattr(filters, "HINF_GAMMA", 1e9)
         state = make_state(p=1.0)
         odo = OdometryIncrement(0.1, 0.0)
-        q, r = _noise_pair(Mode.SPHERICAL, 5)
+        q = process_noise()
         z = UsObservation(
             "gr",
             tuple(measurement_model(state.pose, gr_cluster, Z_MR, Mode.SPHERICAL)),
         )
         with pytest.raises(FilterError, match="aggressive"):
             filter_step(
-                state, odo, z, cluster_model(gr_cluster, Mode.SPHERICAL, r), q,
-                HinfParams(gamma=1e9),
+                state, odo, z, cluster_model(gr_cluster, Mode.SPHERICAL), q, "hinf"
             )
 
 
@@ -459,10 +440,9 @@ class TestFrameTranslationCommutes:
     # the UKF case uses a moderate alpha: the default 0.001 gives +-1e6
     # weights whose cancellation leaves ~1e-7 floating-point noise in the
     # update (prediction-only commutation still holds at 1e-9 regardless)
-    @pytest.mark.parametrize(
-        "params", [EkfParams(), UkfParams(alpha=0.1), HinfParams()], ids=KIND_IDS
-    )
-    def test_translation_equivariance(self, gr_cluster, params):
+    @pytest.mark.parametrize("kind", FILTER_KINDS, ids=KIND_IDS)
+    def test_translation_equivariance(self, gr_cluster, kind, monkeypatch):
+        monkeypatch.setattr(filters, "UKF_WEIGHTS", ukf_weights(0.1, UKF_BETA))
         shift = np.array([7.0, -3.0])
         moved_cluster = UlpsDescriptor(
             "gr",
@@ -471,7 +451,7 @@ class TestFrameTranslationCommutes:
             (shift[0], shift[1]),
             5.0,
         )
-        q, r = _noise_pair(Mode.SPHERICAL, 5)
+        q = process_noise()
         state = make_state(1.0, 0.2, 0.4)
         moved = make_state(1.0 + shift[0], 0.2 + shift[1], 0.4)
         odo = OdometryIncrement(0.1, 0.02)
@@ -483,11 +463,11 @@ class TestFrameTranslationCommutes:
             obs, obs_moved = obs_pair
             a = filter_step(
                 state, odo, obs,
-                cluster_model(gr_cluster, Mode.SPHERICAL, r) if obs else None, q, params,
+                cluster_model(gr_cluster, Mode.SPHERICAL) if obs else None, q, kind,
             )
             b = filter_step(
                 moved, odo, obs_moved,
-                cluster_model(moved_cluster, Mode.SPHERICAL, r) if obs else None, q, params,
+                cluster_model(moved_cluster, Mode.SPHERICAL) if obs else None, q, kind,
             )
             # prediction-only steps commute to 1e-9; update steps with the
             # tiny-alpha sigma weights (+-1e6 with cancellation) keep a bit
@@ -500,12 +480,10 @@ class TestFrameTranslationCommutes:
 
 
 class TestCovarianceHygiene:
-    @pytest.mark.parametrize(
-        "params", [EkfParams(), UkfParams(), HinfParams()], ids=KIND_IDS
-    )
-    def test_symmetric_psd_after_noisy_sequence(self, gr_cluster, params):
+    @pytest.mark.parametrize("kind", FILTER_KINDS, ids=KIND_IDS)
+    def test_symmetric_psd_after_noisy_sequence(self, gr_cluster, kind):
         rng = np.random.default_rng(8)
-        q, r = _noise_pair(Mode.SPHERICAL, 5)
+        q = process_noise()
         state = make_state(-2.0, 0.5, 0.1)
         truth = Pose(-2.0, 0.5, 0.1)
         for k in range(60):
@@ -517,14 +495,14 @@ class TestCovarianceHygiene:
                 obs = UsObservation("gr", tuple(values + rng.normal(0, 0.005, 5)))
             state = filter_step(
                 state, odo, obs,
-                cluster_model(gr_cluster, Mode.SPHERICAL, r) if obs else None, q, params,
+                cluster_model(gr_cluster, Mode.SPHERICAL) if obs else None, q, kind,
             )
             assert state.P == pytest.approx(state.P.T, abs=1e-15)
             assert np.min(np.linalg.eigvalsh(state.P)) >= -1e-10
 
     def test_theta_stays_wrapped_across_pi(self):
         state = make_state(0.0, 0.0, 3.1)
-        q = ProcessNoise(0.01, 0.01, 0.01).matrix()
+        q = process_noise()
         out = filter_step(state, OdometryIncrement(0.1, 0.2), None, None, q)
         assert -math.pi < out.pose.theta <= math.pi
         assert out.pose.theta == pytest.approx(3.3 - 2 * math.pi)

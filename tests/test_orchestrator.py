@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scansim.orchestrator import merge_inverse_result, run_scan
+from scansim.orchestrator import inverse_trajectory_pass, merge_inverse_result, run_scan
 from scansim.scenario import (
     Mode,
     NoiseParams,
@@ -190,6 +190,24 @@ class TestInversePass:
                 assert rec.replaced_forward.source == "forward"
             else:
                 assert rec.source == "forward"
+
+    def test_records_carry_the_forward_method(self, default_config):
+        frames = simulate(default_config)
+        forward = run_scan(frames, default_config, "ukf", "numerical")
+        merged = inverse_trajectory_pass(frames, forward, default_config)
+        assert merged.inverse_applied
+        assert (merged.filter_kind, merged.method) == ("ukf", "numerical")
+        records = list(merged.calibrations.values())
+        records += [rec.replaced_forward for rec in records if rec.replaced_forward]
+        assert any(rec.source == "inverse" for rec in records)
+        assert all(rec.method == merged.method for rec in records)
+
+    def test_mode_mismatch_rejected(self, quiet_config):
+        frames = simulate(quiet_config)
+        forward = run_scan(frames, quiet_config, "ekf", "analytical")
+        hyperbolic = replace(quiet_config, mode=Mode.HYPERBOLIC)
+        with pytest.raises(ValueError, match="spherical"):
+            inverse_trajectory_pass(frames, forward, hyperbolic)
 
     def test_skipped_when_not_ending_in_global_coverage(self, zero_noise):
         config = default_scenario(noise=zero_noise)

@@ -113,7 +113,8 @@ def run():
 class TestRunArtifacts:
     def test_summary_keys_every_local_cluster(self, run):
         config, frames, result = run
-        summary = summarize_run(result, config, seed=11, runtime_s=0.5)
+        summary = summarize_run(result, config, runtime_s=0.5)
+        assert summary.seed == 11
         assert set(summary.per_cluster_mean_error) == {f"lr{k}" for k in range(1, 8)}
 
     def test_trajectory_csv_schema(self, run, tmp_path):
