@@ -222,6 +222,37 @@ class TestUkfWeights:
         w_mean, _, _ = filters.UKF_WEIGHTS
         assert math.fsum(w_mean) == pytest.approx(1.0, abs=1e-9)
 
+    def test_tuning_constants_in_range(self):
+        # the ranges the filters are defined on: the sigma-point spread in
+        # (0, 1], a finite prior-knowledge weight and a positive H-infinity bound
+        assert 0 < filters.UKF_ALPHA <= 1
+        assert math.isfinite(filters.UKF_BETA)
+        assert filters.HINF_GAMMA > 0 and math.isfinite(filters.HINF_GAMMA)
+
+    def test_bound_once_at_import(self, gr_cluster, monkeypatch):
+        calls = []
+        weights = filters.ukf_weights
+        monkeypatch.setattr(
+            filters, "ukf_weights", lambda *args: calls.append(args) or weights(*args)
+        )
+        model = cluster_model(gr_cluster, Mode.SPHERICAL)
+        values = measurement_model(make_state().pose, gr_cluster, Z_MR, Mode.SPHERICAL)
+        obs = UsObservation("gr", tuple(values))
+        odo, q = OdometryIncrement(0.05, 0.0), process_noise()
+        state = expected = make_state()
+        for _ in range(3):
+            state = filter_step(state, odo, obs, model, q, "ukf")
+            x, P = ukf_step(
+                expected.pose.as_array(), expected.P,
+                lambda points: process_model(points, odo),
+                np.asarray(obs.values), model.ranges, q, model.R,
+                filters.UKF_WEIGHTS, filters.THETA_INDEX,
+            )
+            expected = FilterState(Pose(*x, frame="global"), P)
+        assert calls == []
+        assert np.array_equal(state.pose.as_array(), expected.pose.as_array())
+        assert np.array_equal(state.P, expected.P)
+
     def test_sigma_points_reproduce_covariance(self):
         w_mean, w_cov, lam = ukf_weights(0.5, 2.0)
         x = np.array([1.0, -2.0, 0.5])
