@@ -21,8 +21,9 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(theta: float) -> float:
-    """Wrap a scalar angle to (-pi, pi]."""
-    return float(np.pi - np.mod(np.pi - theta, TWO_PI))
+    """Wrap a scalar angle to (-pi, pi]; the same bits as ``wrap_angles``,
+    since a Python float's ``%`` is numpy's ``mod``, fmod-based alike."""
+    return math.pi - (math.pi - float(theta)) % TWO_PI
 
 
 def wrap_angles(theta) -> np.ndarray:
@@ -58,10 +59,12 @@ def observe(distances, mode: Mode) -> np.ndarray:
 def predict_ranges(points, beacons: np.ndarray, z_mr: float, mode: Mode, jacobian: bool = False):
     """Predicted observations of one cluster from floor positions.
 
-    ``points`` is one point (k,) or a batch (m, k) whose first two
+    ``points`` is one point (k,) or a batch (..., k) whose first two
     components are the floor position (x, y); further components (such as a
     heading) do not affect the ranges.  ``beacons`` is the (I, 3) beacon
-    array in the same frame and ``z_mr`` the receiver height.  Returns the
+    array in the same frame, or a stack (..., I, 3) whose leading axes
+    broadcast against the batch axes of ``points`` (one cluster per lane of
+    a stacked filter step), and ``z_mr`` the receiver height.  Returns the
     3D emitter-receiver distances (spherical) or their differences against
     beacon 1 (hyperbolic), see ``observe``.
 
@@ -73,8 +76,8 @@ def predict_ranges(points, beacons: np.ndarray, z_mr: float, mode: Mode, jacobia
     """
     mode = Mode(mode)
     points = np.asarray(points, dtype=float)
-    delta = points[..., None, :2] - beacons[:, :2]
-    dz = z_mr - beacons[:, 2]
+    delta = points[..., None, :2] - beacons[..., :2]
+    dz = z_mr - beacons[..., 2]
     dists = np.sqrt((delta**2).sum(axis=-1) + dz**2)
     values = observe(dists, mode)
     if not jacobian:
@@ -93,7 +96,7 @@ def predict_ranges(points, beacons: np.ndarray, z_mr: float, mode: Mode, jacobia
 # ---------------------------------------------------------------------------
 
 def process_model(state, odo, jacobian: bool = False):
-    """Propagate poses [x, y, theta], one (3,) or a batch (m, 3), by one
+    """Propagate poses [x, y, theta], one (3,) or a batch (..., 3), by one
     odometry increment ``odo`` (its ``delta_d`` and ``delta_theta``).
 
     The heading increment is applied before the translation:
@@ -103,23 +106,22 @@ def process_model(state, odo, jacobian: bool = False):
         y'     = y + dd * sin(theta')
 
     The propagated heading is wrapped to (-pi, pi].  With ``jacobian=True``
-    also returns the (3, 3) derivative of the propagated pose w.r.t. the
-    previous one; the Jacobian is defined for one pose only.
+    also returns the derivative of the propagated pose w.r.t. the previous
+    one: (3, 3) for one pose, (..., 3, 3) for a batch.
     """
     state = np.asarray(state, dtype=float)
     theta = state[..., 2] + odo.delta_theta
-    cos, sin = np.cos(theta), np.sin(theta)
+    dx, dy = odo.delta_d * np.cos(theta), odo.delta_d * np.sin(theta)
     out = np.empty_like(state)
-    out[..., 0] = state[..., 0] + odo.delta_d * cos
-    out[..., 1] = state[..., 1] + odo.delta_d * sin
+    out[..., 0] = state[..., 0] + dx
+    out[..., 1] = state[..., 1] + dy
     out[..., 2] = wrap_angles(theta)
     if not jacobian:
         return out
-    if state.ndim != 1:
-        raise ValueError("the motion Jacobian is defined for one pose (3,)")
-    jac = np.eye(3)
-    jac[0, 2] = -odo.delta_d * sin
-    jac[1, 2] = odo.delta_d * cos
+    jac = np.zeros(state.shape + (3,))
+    jac[..., 0, 0] = jac[..., 1, 1] = jac[..., 2, 2] = 1.0
+    jac[..., 0, 2] = -dy
+    jac[..., 1, 2] = dx
     return out, jac
 
 

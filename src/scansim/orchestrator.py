@@ -3,13 +3,15 @@
 Every filter of a run is one ``_Lane``: the global filter in the map frame,
 and one local filter per locally referenced cluster in that cluster's own
 frame.  Each lane starts from two Gauss-Newton fixes and then steps once per
-epoch.  The global lane bootstraps inside an anchor cluster and updates with
-the nearest one; a local lane logs (local, global) trajectory correspondences
-while both estimates are anchored, and its cluster is promoted to globally
-referenced once the robot leaves the common coverage area and its transform
-has been solved.  Promoted clusters immediately start anchoring the global
-filter, which is what lets the calibration chain from cluster to cluster
-between the globally referenced ones.
+epoch, together with the other running lanes whose observations have the
+same length, in one stacked filter call.  The global lane bootstraps inside
+an anchor cluster and updates with the nearest one; a local lane logs
+(local, global) trajectory correspondences while both estimates are
+anchored, and its cluster is promoted to globally referenced once the robot
+leaves the common coverage area and its transform has been solved.
+Promoted clusters immediately start anchoring the global filter, which is
+what lets the calibration chain from cluster to cluster between the globally
+referenced ones.
 """
 
 from __future__ import annotations
@@ -155,20 +157,6 @@ class _Lane:
         self.trajectory.append((epoch, pose))
         return True
 
-    def step(
-        self,
-        frame: simulator.MeasurementFrame,
-        obs: simulator.UsObservation | None,
-        models: dict,
-        params: _RunParams,
-    ) -> None:
-        """Step on the frame's odometry, updating with ``obs`` if there is one."""
-        cluster = None if obs is None else models[obs.ulps_id]
-        self.filter = FILTER_STEPS[params.filter_kind](
-            self.filter, frame.odo, obs, cluster, params.Q, params.filter_kind
-        )
-        self.trajectory.append((frame.epoch, self.filter.pose))
-
 
 @dataclass
 class ScanState:
@@ -238,6 +226,28 @@ def _finalize_cluster(state: ScanState, cid: str, epoch: int, params: _RunParams
     state.anchor_centers[cid] = np.mean([[b.x, b.y] for b in beacons], axis=0)
 
 
+def _step_lanes(
+    stepping: list, frame: simulator.MeasurementFrame, models: dict, params: _RunParams
+) -> None:
+    """Step every running lane on the frame's odometry, each updating with
+    its observation if it has one: one ``FILTER_STEPS`` call per group of
+    lanes whose observations have one length, and one for the lanes that
+    only predict."""
+    groups = {}
+    for lane, obs in stepping:
+        groups.setdefault(None if obs is None else len(obs.values), []).append((lane, obs))
+    for size, members in groups.items():
+        lanes, observations = zip(*members)
+        clusters = None if size is None else tuple(models[obs.ulps_id] for obs in observations)
+        states = FILTER_STEPS[params.filter_kind](
+            [lane.filter for lane in lanes], frame.odo, None if size is None else observations,
+            clusters, params.Q, params.filter_kind,
+        )
+        for lane, filter_state in zip(lanes, states):
+            lane.filter = filter_state
+            lane.trajectory.append((frame.epoch, filter_state.pose))
+
+
 def scan_step(
     state: ScanState, frame: simulator.MeasurementFrame, params: _RunParams
 ) -> ScanState:
@@ -258,8 +268,10 @@ def scan_step(
         if not in_common_area(cid):  # else rescued by a promotion earlier in this loop
             _finalize_cluster(state, cid, frame.epoch, params)
 
-    # -- 2. global lane: bootstrap inside an anchor, or step with the nearest
+    # -- 2. the global lane bootstraps inside an anchor, or is to step with
+    # the anchor nearest to its estimate before this step
     global_lane = state.global_lane
+    stepping = []
     if global_lane.filter is None:
         for obs in frame.observations:
             if obs.ulps_id in state.anchor_centers and global_lane.bootstrap(
@@ -275,17 +287,18 @@ def scan_step(
             if obs.ulps_id in state.anchor_centers
         ]
         obs = min(anchor_choices, key=lambda item: item[0])[1] if anchor_choices else None
-        global_lane.step(frame, obs, state.models, params)
+        stepping.append((global_lane, obs))
         global_updated = obs is not None
 
-    # -- 3. local lanes of uncalibrated clusters, in scenario order ---------
-    for cid, lane in lanes.items():
-        if cid in state.calibrated:
-            continue
-        obs = observed.get(cid)
-        if lane.filter is not None:
-            lane.step(frame, obs, state.models, params)
-        elif obs is not None:
+    # -- 3. the running lanes step together; then the local lanes of
+    # uncalibrated clusters, in scenario order, bootstrap or log
+    running = [
+        (lane, observed.get(cid)) for cid, lane in lanes.items() if cid not in state.calibrated
+    ]
+    stepping += [(lane, obs) for lane, obs in running if lane.filter is not None]
+    _step_lanes(stepping, frame, state.models, params)
+    for lane, obs in running:
+        if lane.filter is None and obs is not None:
             lane.bootstrap(obs, frame.epoch, params)
         if lane.filter is None:
             continue
@@ -376,13 +389,14 @@ def run_scan(
     With ``inverse=True`` the forward result goes on through
     ``inverse_trajectory_pass``, which scores the merged result.
     """
-    forward = _fold(frames, _RunParams.bind(config, filter_kind, method))
+    params = _RunParams.bind(config, filter_kind, method)
+    forward = _fold(frames, params)
     if inverse:
-        return inverse_trajectory_pass(frames, forward, config)
+        return inverse_trajectory_pass(frames, forward, config, _params=params)
     return _score(forward, frames, config)
 
 
-def inverse_trajectory_pass(frames, forward_result, config):
+def inverse_trajectory_pass(frames, forward_result, config, *, _params=None):
     """Fold the reversed stream (``simulator.reverse_frames``) with the
     filter kind and method of ``forward_result``, merge it into
     ``forward_result`` and score the merged result.
@@ -391,7 +405,9 @@ def inverse_trajectory_pass(frames, forward_result, config):
     pass take their reverse-pass calibrations, which see them first and so
     with the least accumulated drift.  Skipped with a warning when the run
     did not end inside a globally referenced cluster's coverage; the
-    forward result is then returned scored.
+    forward result is then returned scored.  ``_params`` is private:
+    ``run_scan`` hands over the binding of its forward pass, so that one run
+    binds once; any other caller leaves it out.
     """
     if forward_result.mode != config.mode:
         raise ValueError(
@@ -408,7 +424,9 @@ def inverse_trajectory_pass(frames, forward_result, config):
                 stacklevel=2,
             )
         else:
-            params = _RunParams.bind(config, forward_result.filter_kind, forward_result.method)
+            params = _params
+            if params is None:
+                params = _RunParams.bind(config, forward_result.filter_kind, forward_result.method)
             reverse = _fold(simulator.reverse_frames(frames), params)
             merged = merge_inverse_result(forward_result, reverse, count)
     return _score(merged, frames, config)

@@ -8,9 +8,11 @@ state machine's ``scan_step``, ``gauss_newton_fix``, ``accumulate_analytical``,
 through its module; and ``calibration.mean_distance_error``, which the
 Nelder-Mead objective calls through its module.  A refactor that binds one of
 them elsewhere would make its metric read 0 without any error; these counters
-catch that.  perfbench's ``filters.update_frac`` reads the observation of a
-filter step as its third positional argument, so every step must get a
-``UsObservation`` or None there.
+catch that.  A ``FILTER_STEPS`` call steps a group of lanes together, and
+perfbench's ``filters.update_frac`` reads the group's observations as its
+third positional argument (an update when it is not None), so every call
+must get None there or a non-empty tuple of ``UsObservation``s of one
+length.
 """
 
 from collections import Counter
@@ -34,16 +36,26 @@ def counted(counts, name, fn):
     return wrapper
 
 
+def is_update(observations) -> bool:
+    """A non-empty tuple of ``UsObservation``s of one length."""
+    return (
+        isinstance(observations, tuple)
+        and len(observations) > 0
+        and all(isinstance(obs, UsObservation) for obs in observations)
+        and len({len(obs.values) for obs in observations}) == 1
+    )
+
+
 def counted_step(counts, kind, fn):
     """``counted``, also counting the steps by their third positional
     argument: an update, a prediction, or anything else."""
 
     def wrapper(*args, **kwargs):
-        obs = args[2]
-        if isinstance(obs, UsObservation):
+        observations = args[2]
+        if is_update(observations):
             counts["step_updates"] += 1
         else:
-            counts["step_predictions" if obs is None else "step_other"] += 1
+            counts["step_predictions" if observations is None else "step_other"] += 1
         return fn(*args, **kwargs)
 
     return counted(counts, f"{kind}_step", wrapper)

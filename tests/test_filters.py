@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ import scansim.filters as filters
 from scansim.errors import FilterError
 from scansim.filters import (
     FILTER_KINDS,
+    HINF_GAMMA,
     SIGMA_US_FLOOR,
+    THETA_INDEX,
     UKF_BETA,
+    UKF_WEIGHTS,
     ClusterModel,
     FilterState,
     ekf_step,
     filter_step,
+    filter_steps,
     hinf_step,
     sigma_points,
     ukf_step,
@@ -88,7 +93,13 @@ class TestProcessModel:
     def test_jacobian_matches_finite_differences(self):
         odo = OdometryIncrement(0.8, 0.25)
         x0 = np.array([0.3, -0.7, 1.1])
+        batch = np.array([x0, [2.0, 1.5, -2.9], [-1.0, 0.4, 2.6]])
         _, jac = process_model(x0, odo, jacobian=True)
+        _, jacs = process_model(batch, odo, jacobian=True)
+        # a batch (k, 3) has one Jacobian per pose, each the one-pose Jacobian
+        assert jacs.shape == (3, 3, 3)
+        for pose, pose_jac in zip(batch, jacs):
+            assert np.array_equal(pose_jac, process_model(pose, odo, jacobian=True)[1])
         eps = 1e-7
         for j in range(3):
             step = np.zeros(3)
@@ -98,6 +109,8 @@ class TestProcessModel:
                 - process_model(x0 - step, odo)
             ) / (2 * eps)
             assert jac[:, j] == pytest.approx(fd, abs=1e-6)
+            fd = (process_model(batch + step, odo) - process_model(batch - step, odo)) / (2 * eps)
+            assert jacs[:, :, j] == pytest.approx(fd, abs=1e-6)
 
 
 class TestMeasurementModel:
@@ -245,7 +258,9 @@ class TestUkfWeights:
             x, P = ukf_step(
                 expected.pose.as_array(), expected.P,
                 lambda points: process_model(points, odo),
-                np.asarray(obs.values), model.ranges, q, model.R,
+                np.asarray(obs.values),
+                lambda points: predict_ranges(points, model.beacons, Z_MR, Mode.SPHERICAL),
+                q, model.R,
                 filters.UKF_WEIGHTS, filters.THETA_INDEX,
             )
             expected = FilterState(Pose(*x, frame="global"), P)
@@ -369,6 +384,129 @@ class TestFilterKinds:
                             process_noise(), kind)
         with pytest.raises(ValueError, match="filter_kind"):
             run_scan([], default_scenario(), kind, "analytical")
+
+
+def step_alone(kind, state, odo, obs, cluster, q):
+    """One lane through the plain (n,) form of the step functions, as a
+    ``FilterState``."""
+    x, P = state.pose.as_array(), state.P
+    jacobian = kind != "ukf"
+    z = measure = R = None
+    if obs is not None:
+        z = np.array(obs.values)
+        R = cluster.R_inv if kind == "hinf" else cluster.R
+
+        def measure(s):
+            return predict_ranges(s, cluster.beacons, cluster.z_mr, cluster.mode, jacobian)
+
+    def motion(s):
+        return process_model(s, odo, jacobian)
+
+    if kind == "ekf":
+        x, P = ekf_step(x, P, motion, z, measure, q, R, THETA_INDEX)
+    elif kind == "ukf":
+        x, P = ukf_step(x, P, motion, z, measure, q, R, UKF_WEIGHTS, THETA_INDEX)
+    else:
+        x, P = hinf_step(x, P, motion, z, measure, q, R, HINF_GAMMA, THETA_INDEX)
+    return FilterState(Pose(*x, frame=state.frame), P)
+
+
+def spread_lanes(gr_cluster, mode, covariances):
+    """One lane per covariance, each in a cluster of its own (shifted,
+    stretched, with its own noise) and observing it with noise."""
+    rng = np.random.default_rng(21)
+    states, observations, clusters = [], [], []
+    for i, P in enumerate(covariances):
+        shift = rng.uniform(-6.0, 6.0, size=2)
+        beacons = gr_cluster.beacon_array() * [0.8 + 0.2 * i, 1.1 - 0.1 * i, 1.0]
+        beacons[:, :2] += shift
+        model = ClusterModel(beacons, Z_MR, mode, 0.004 * (i + 1))
+        pose = Pose(*(shift + rng.normal(0.0, 0.6, size=2)), rng.uniform(-3.0, 3.0), frame=f"l{i}")
+        values = predict_ranges(pose.as_array(), beacons, Z_MR, mode)
+        states.append(FilterState(pose, P))
+        noisy = values + rng.normal(0.0, 0.01, len(values))
+        observations.append(UsObservation(f"c{i}", tuple(noisy)))
+        clusters.append(model)
+    return states, tuple(observations), tuple(clusters)
+
+
+def random_covariances(count):
+    rng = np.random.default_rng(5)
+    roots = rng.normal(0.0, 0.05, size=(count, 3, 3))
+    return [root @ root.T + 1e-3 * np.eye(3) for root in roots]
+
+
+def assert_same_lanes(stacked, alone):
+    assert len(stacked) == len(alone)
+    for a, b in zip(stacked, alone):
+        assert a.frame == b.frame
+        assert np.array_equal(a.pose.as_array(), b.pose.as_array())
+        assert np.array_equal(a.P, b.P)
+
+
+class TestLaneAxis:
+    """A stacked step of k lanes gives each lane, bit for bit, what the plain
+    one-lane step gives it."""
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    @pytest.mark.parametrize("mode", [Mode.SPHERICAL, Mode.HYPERBOLIC])
+    def test_stacked_step_equals_each_lane_alone(self, gr_cluster, kind, mode):
+        states, observations, clusters = spread_lanes(gr_cluster, mode, random_covariances(3))
+        odo, q = OdometryIncrement(0.07, -0.04), process_noise()
+        for _ in range(4):
+            predicted = filter_steps(states, odo, None, None, q, kind)
+            assert_same_lanes(
+                predicted, [step_alone(kind, s, odo, None, None, q) for s in states]
+            )
+            updated = filter_steps(predicted, odo, observations, clusters, q, kind)
+            assert_same_lanes(updated, [
+                step_alone(kind, s, odo, obs, c, q)
+                for s, obs, c in zip(predicted, observations, clusters)
+            ])
+            states = updated
+
+    @pytest.mark.parametrize("mode", [Mode.SPHERICAL, Mode.HYPERBOLIC])
+    def test_ukf_jitter_retry_stays_in_its_lane(self, gr_cluster, mode):
+        # the middle lane's covariance is semidefinite: its plain Cholesky
+        # factorization fails and only it is retried with jitter
+        covariances = random_covariances(3)
+        covariances[1] = np.diag([0.01, 0.01, 0.0])
+        lam = UKF_WEIGHTS[2]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky((3 + lam) * np.array(covariances))
+        states, observations, clusters = spread_lanes(gr_cluster, mode, covariances)
+        odo, q = OdometryIncrement(0.05, 0.02), process_noise()
+        for obs, models in [(None, None), (observations, clusters)]:
+            stacked = filter_steps(states, odo, obs, models, q, "ukf")
+            assert_same_lanes(stacked, [
+                step_alone("ukf", s, odo, o, c, q)
+                for s, o, c in zip(states, obs or [None] * 3, models or [None] * 3)
+            ])
+
+    def test_hinf_existence_violation_raises_in_a_stack(self, gr_cluster):
+        # a covariance so loose that P^-1 - gamma*I + H^T R^-1 H is indefinite
+        # in the unobserved heading
+        covariances = random_covariances(3)
+        states, observations, clusters = spread_lanes(gr_cluster, Mode.SPHERICAL, covariances)
+        odo, q = OdometryIncrement(0.05, 0.0), process_noise()
+        filter_steps(states, odo, observations, clusters, q, "hinf")
+        states[2] = replace(states[2], P=100.0 * np.eye(3))
+        with pytest.raises(FilterError, match="aggressive"):
+            filter_steps(states, odo, observations, clusters, q, "hinf")
+
+    def test_lanes_of_one_step_share_length_and_mode(self, gr_cluster):
+        states, observations, clusters = spread_lanes(
+            gr_cluster, Mode.SPHERICAL, random_covariances(2)
+        )
+        odo, q = OdometryIncrement(0.05, 0.0), process_noise()
+        hyperbolic = replace(clusters[1], mode=Mode.HYPERBOLIC)
+        shorter = UsObservation("c1", observations[1].values[1:])
+        for obs, models in [
+            ((observations[0], shorter), (clusters[0], hyperbolic)),
+            (observations, (clusters[0], replace(clusters[1], z_mr=Z_MR + 0.1))),
+        ]:
+            with pytest.raises(FilterError, match="one length"):
+                filter_steps(states, odo, obs, models, q, "ekf")
 
 
 class TestZeroNoiseTracking:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import scansim.orchestrator as orchestrator
 from scansim.orchestrator import inverse_trajectory_pass, merge_inverse_result, run_scan
 from scansim.scenario import (
     Mode,
@@ -208,6 +209,23 @@ class TestInversePass:
         hyperbolic = replace(quiet_config, mode=Mode.HYPERBOLIC)
         with pytest.raises(ValueError, match="spherical"):
             inverse_trajectory_pass(frames, forward, hyperbolic)
+
+    def test_one_binding_per_run(self, default_config, monkeypatch):
+        binds = []
+        bind = orchestrator._RunParams.bind
+        monkeypatch.setattr(
+            orchestrator._RunParams, "bind",
+            classmethod(lambda cls, *args: binds.append(args) or bind(*args)),
+        )
+        frames = simulate(default_config)
+        merged = run_scan(frames, default_config, "ekf", "analytical", inverse=True)
+        assert merged.inverse_applied
+        assert binds == [(default_config, "ekf", "analytical")]
+        # a direct call has no forward binding to take over and binds its own
+        forward = run_scan(frames, default_config, "ekf", "analytical")
+        direct = inverse_trajectory_pass(frames, forward, default_config)
+        assert len(binds) == 3
+        assert direct.calibrations == merged.calibrations
 
     def test_skipped_when_not_ending_in_global_coverage(self, zero_noise):
         config = default_scenario(noise=zero_noise)
