@@ -25,7 +25,7 @@ from .errors import (
     ScanError,
     ScenarioError,
 )
-from .filters import ClusterModel, FilterState, filter_step
+from .filters import ClusterModel, filter_step
 from .geometry import (
     Mode,
     TransformVector,

@@ -6,12 +6,13 @@ one step function on arrays and model callables (``ekf_step``, ``ukf_step``,
 ``hinf_step``), tuned by module constants.  A step takes one state (n,) or a
 stack of lanes (k, n) that it steps together, as the paper runs one filter
 per reference frame in parallel; each lane of a stack comes out bit for bit
-as it would alone.  One pose-level step, ``filter_steps``, binds the motion
-and range models of ``geometry`` and the observed clusters' noise
-(``ClusterModel``) to the step function of the filter kind it is given;
-``filter_step`` is its one-lane call.  The linear cross-validation fixtures
-of the test suite call the same step functions with linear models and other
-tuning.
+as it would alone, and no step writes into its inputs.  One pose-level step,
+``filter_steps``, binds the motion and range models of ``geometry`` and the
+observed clusters' noise (``ClusterModel``) to the step function of the
+filter kind it is given, on the lanes' stacked estimates x (k, 3) and
+covariances P (k, 3, 3); ``filter_step`` is its one-lane call on one (x, P).
+The linear cross-validation fixtures of the test suite call the same step
+functions with linear models and other tuning.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from .errors import FilterError
 from .geometry import Mode, predict_ranges, process_model, wrap_angles
-from .scenario import Pose
 from .simulator import OdometryIncrement, UsObservation
 
 STATE_DIM = 3
@@ -75,22 +75,6 @@ class ClusterModel:
             R = 0.5 * sigma**2 * (np.eye(dim) + np.ones((dim, dim)))
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "R_inv", np.linalg.inv(R))
-
-
-@dataclass
-class FilterState:
-    """State estimate and (3, 3) covariance for one reference frame.
-
-    ``P`` is kept as given, not copied: the filter steps never write into a
-    covariance, they return a new one.
-    """
-
-    pose: Pose
-    P: np.ndarray
-
-    @property
-    def frame(self) -> str:
-        return self.pose.frame
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +288,25 @@ def hinf_step(x, P, motion, z, measure, Q, R_inv, gamma: float, angle_idx=None):
 # ---------------------------------------------------------------------------
 
 def filter_steps(
-    states: Sequence[FilterState],
+    states: tuple[np.ndarray, np.ndarray],
     odo: OdometryIncrement,
     observations: tuple[UsObservation, ...] | None,
     clusters: Sequence[ClusterModel] | None,
     Q: np.ndarray,
     kind: str = "ekf",
-) -> list[FilterState]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One step of the filter named ``kind`` (one of ``FILTER_KINDS``) for
     every lane of ``states``, stacked in one call.
 
-    All lanes move by the same odometry ``odo`` and per-epoch process
-    covariance ``Q``.  Prediction only when ``observations`` is None;
-    otherwise it holds one observation per lane, all of one length, and
-    ``clusters`` the observed cluster of each lane in that lane's frame, all
-    of one receiver height and mode.  Returns the new states in the order of
-    ``states``, each bit for bit what a step of its lane alone gives.  Each
-    kind evaluates the motion and range models once per step.
+    ``states`` is the lanes' estimates [x, y, theta] as x (k, 3) and their
+    covariances as P (k, 3, 3).  All lanes move by the same odometry ``odo``
+    and per-epoch process covariance ``Q``.  Prediction only when
+    ``observations`` is None; otherwise it holds one observation per lane,
+    all of one length, and ``clusters`` the observed cluster of each lane in
+    that lane's frame, all of one receiver height and mode.  Returns the new
+    (x, P), lanes in the order of ``states``, each bit for bit what a step of
+    its lane alone gives.  Each kind evaluates the motion and range models
+    once per step.
     """
     z = beacons = R = z_mr = mode = None
     if observations is not None:
@@ -342,50 +328,47 @@ def filter_steps(
         beacons = np.array([cluster.beacons for cluster in clusters])
         # the H-infinity update takes the bound inverse
         R = np.array([cluster.R_inv if kind == "hinf" else cluster.R for cluster in clusters])
-    x = np.array([(s.pose.x, s.pose.y, s.pose.theta) for s in states])
-    P = np.array([s.P for s in states])
+    x, P = states
     if kind == "ekf":
-        x, P = ekf_step(
+        return ekf_step(
             x, P, lambda s: process_model(s, odo, jacobian=True), z,
             lambda s: predict_ranges(s, beacons, z_mr, mode, jacobian=True), Q, R, THETA_INDEX,
         )
-    elif kind == "ukf":
+    if kind == "ukf":
         # each lane's sigma points meet that lane's beacons
-        x, P = ukf_step(
+        return ukf_step(
             x, P, lambda points: process_model(points, odo), z,
             lambda points: predict_ranges(points, beacons[:, None], z_mr, mode),
             Q, R, UKF_WEIGHTS, THETA_INDEX,
         )
-    elif kind == "hinf":
-        x, P = hinf_step(
+    if kind == "hinf":
+        return hinf_step(
             x, P, lambda s: process_model(s, odo, jacobian=True), z,
             lambda s: predict_ranges(s, beacons, z_mr, mode, jacobian=True), Q, R, HINF_GAMMA,
             THETA_INDEX,
         )
-    else:
-        raise FilterError(f"filter kind must be one of {FILTER_KINDS}, got {kind!r}")
-    return [
-        FilterState(Pose(*pose, frame=state.frame), cov)
-        for state, pose, cov in zip(states, x.tolist(), P)
-    ]
+    raise FilterError(f"filter kind must be one of {FILTER_KINDS}, got {kind!r}")
 
 
 def filter_step(
-    state: FilterState,
+    state: tuple[np.ndarray, np.ndarray],
     odo: OdometryIncrement,
     obs: UsObservation | None,
     cluster: ClusterModel | None,
     Q: np.ndarray,
     kind: str = "ekf",
-) -> FilterState:
-    """One step of one lane: ``filter_steps`` of the lane alone.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of one lane, ``state`` = (x (3,), P (3, 3)): ``filter_steps``
+    of the lane alone.
 
     Prediction only when ``obs`` is None; otherwise ``cluster`` describes the
-    observed cluster in the frame of ``state``.
+    observed cluster in the lane's frame.
     """
+    x, P = state
     observations = None if obs is None else (obs,)
     clusters = None if cluster is None else (cluster,)
-    return filter_steps((state,), odo, observations, clusters, Q, kind)[0]
+    x, P = filter_steps((x[None], P[None]), odo, observations, clusters, Q, kind)
+    return x[0], P[0]
 
 
 #: The filter kinds ``filter_steps`` runs.

@@ -2,16 +2,17 @@
 
 Every filter of a run is one ``_Lane``: the global filter in the map frame,
 and one local filter per locally referenced cluster in that cluster's own
-frame.  Each lane starts from two Gauss-Newton fixes and then steps once per
-epoch, together with the other running lanes whose observations have the
-same length, in one stacked filter call.  The global lane bootstraps inside
-an anchor cluster and updates with the nearest one; a local lane logs
-(local, global) trajectory correspondences while both estimates are
-anchored, and its cluster is promoted to globally referenced once the robot
-leaves the common coverage area and its transform has been solved.
-Promoted clusters immediately start anchoring the global filter, which is
-what lets the calibration chain from cluster to cluster between the globally
-referenced ones.
+frame.  A lane holds its estimate as the arrays the filter steps take, x (3,)
+and P (3, 3); a ``Pose`` is built only for its trajectory record.  Each lane
+starts from two Gauss-Newton fixes and then steps once per epoch, together
+with the other running lanes whose observations have the same length, in one
+stacked filter call.  The global lane bootstraps inside an anchor cluster and
+updates with the nearest one; a local lane logs (local, global) trajectory
+correspondences while both estimates are anchored, and its cluster is
+promoted to globally referenced once the robot leaves the common coverage
+area and its transform has been solved.  Promoted clusters immediately start
+anchoring the global filter, which is what lets the calibration chain from
+cluster to cluster between the globally referenced ones.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from .calibration import (
     numerical_tc,
 )
 from .errors import CalibrationError, GeometryError, ScanError
-from .filters import FILTER_KINDS, FILTER_STEPS, ClusterModel, FilterState
+from .filters import FILTER_KINDS, FILTER_STEPS, ClusterModel
 from .geometry import Mode, TransformVector
 from .positioning import StaticFix, bootstrap_state, gauss_newton_fix
-from .scenario import Beacon, ScenarioConfig, beacon_array
+from .scenario import GLOBAL_FRAME, Beacon, Pose, ScenarioConfig, beacon_array
 
 METHODS = ("analytical", "numerical")
 
@@ -76,9 +77,9 @@ class CalibrationRecord:
 @dataclass(frozen=True)
 class _RunParams:
     """What one run binds once: the scenario, the estimator, the process
-    covariance ``Q`` every filter step uses and the covariance
-    ``P0`` every bootstrap starts from (shared, as steps never write into a
-    covariance)."""
+    covariance ``Q`` every filter step uses and the covariance ``P0`` every
+    lane holds from its bootstrap on.  Both arrays are shared by every lane
+    and step of the run, as no filter step writes into its inputs."""
 
     config: ScenarioConfig
     filter_kind: str
@@ -116,18 +117,21 @@ class _RunParams:
 
 @dataclass
 class _Lane:
-    """One filter in one reference frame and what it records.
+    """One filter in the reference frame ``frame`` and what it records.
 
-    Until ``filter`` starts, ``held_fix`` holds the first fix of the two-fix
-    bootstrap.  ``trajectory`` lists ``(epoch, pose)`` from the bootstrap on.
-    Only a local lane has a correspondence ``log``; ``logged_last`` says
-    whether it logged in the latest epoch, i.e. whether the robot was inside
-    the common coverage area.
+    ``x`` (3,) and ``P`` (3, 3) are the filter's estimate [x, y, theta] and
+    covariance, both None until the filter starts; until then ``held_fix``
+    holds the first fix of the two-fix bootstrap.  ``trajectory`` lists
+    ``(epoch, pose)`` from the bootstrap on.  Only a local lane has a
+    correspondence ``log``; ``logged_last`` says whether it logged in the
+    latest epoch, i.e. whether the robot was inside the common coverage area.
     """
 
+    frame: str
     log: CorrespondenceLog | None = None
     logged_last: bool = False
-    filter: FilterState | None = None
+    x: np.ndarray | None = None
+    P: np.ndarray | None = None
     held_fix: StaticFix | None = None
     trajectory: list = field(default_factory=list)
 
@@ -153,7 +157,7 @@ class _Lane:
             pose = bootstrap_state(self.held_fix, fix)
         except GeometryError:
             return True
-        self.filter = FilterState(pose, params.P0)
+        self.x, self.P = pose.as_array(), params.P0
         self.trajectory.append((epoch, pose))
         return True
 
@@ -239,13 +243,14 @@ def _step_lanes(
     for size, members in groups.items():
         lanes, observations = zip(*members)
         clusters = None if size is None else tuple(models[obs.ulps_id] for obs in observations)
-        states = FILTER_STEPS[params.filter_kind](
-            [lane.filter for lane in lanes], frame.odo, None if size is None else observations,
-            clusters, params.Q, params.filter_kind,
+        x, P = FILTER_STEPS[params.filter_kind](
+            (np.array([lane.x for lane in lanes]), np.array([lane.P for lane in lanes])),
+            frame.odo, None if size is None else observations, clusters, params.Q,
+            params.filter_kind,
         )
-        for lane, filter_state in zip(lanes, states):
-            lane.filter = filter_state
-            lane.trajectory.append((frame.epoch, filter_state.pose))
+        for lane, lane_x, lane_P, pose in zip(lanes, x, P, x.tolist()):
+            lane.x, lane.P = lane_x, lane_P
+            lane.trajectory.append((frame.epoch, Pose(*pose, frame=lane.frame)))
 
 
 def scan_step(
@@ -272,15 +277,15 @@ def scan_step(
     # the anchor nearest to its estimate before this step
     global_lane = state.global_lane
     stepping = []
-    if global_lane.filter is None:
+    if global_lane.x is None:
         for obs in frame.observations:
             if obs.ulps_id in state.anchor_centers and global_lane.bootstrap(
                 obs, frame.epoch, params
             ):
                 break
-        global_updated = global_lane.filter is not None
+        global_updated = global_lane.x is not None
     else:
-        estimate = global_lane.filter.pose.xy
+        estimate = global_lane.x[:2]
         anchor_choices = [
             (float(np.hypot(*(state.anchor_centers[obs.ulps_id] - estimate))), obs)
             for obs in frame.observations
@@ -295,17 +300,17 @@ def scan_step(
     running = [
         (lane, observed.get(cid)) for cid, lane in lanes.items() if cid not in state.calibrated
     ]
-    stepping += [(lane, obs) for lane, obs in running if lane.filter is not None]
+    stepping += [(lane, obs) for lane, obs in running if lane.x is not None]
     _step_lanes(stepping, frame, state.models, params)
     for lane, obs in running:
-        if lane.filter is None and obs is not None:
+        if lane.x is None and obs is not None:
             lane.bootstrap(obs, frame.epoch, params)
-        if lane.filter is None:
+        if lane.x is None:
             continue
         # correspondence logging while both estimates are anchored
         lane.logged_last = global_updated and obs is not None
         if lane.logged_last:
-            lane.log.append(lane.filter.pose.xy, global_lane.filter.pose.xy, frame.epoch)
+            lane.log.append(lane.x[:2], global_lane.x[:2], frame.epoch)
     return state
 
 
@@ -317,8 +322,8 @@ def _fold(frames: list[simulator.MeasurementFrame], params: _RunParams) -> ScanR
         anchor_centers={
             u.id: np.array(u.coverage_center) for u in config.global_clusters
         },
-        global_lane=_Lane(),
-        lanes={u.id: _Lane(CorrespondenceLog(u.id)) for u in config.local_clusters},
+        global_lane=_Lane(GLOBAL_FRAME),
+        lanes={u.id: _Lane(u.frame, CorrespondenceLog(u.id)) for u in config.local_clusters},
     )
     for frame in frames:
         scan_step(state, frame, params)

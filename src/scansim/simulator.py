@@ -49,7 +49,7 @@ class UsObservation:
     """One cluster's ultrasound readings for one epoch.
 
     Spherical mode: one distance per beacon.  Hyperbolic mode: one difference
-    per beacon 2..I, each relative to beacon 1.
+    per beacon 2..I, each relative to beacon 1.  Every value must be finite.
     """
 
     ulps_id: str
@@ -57,6 +57,8 @@ class UsObservation:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError(f"ultrasound readings of cluster '{self.ulps_id}' must be finite")
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,7 @@ def measure_ultrasound(
         )
     dists = predict_ranges(p.xy, beacons, z_mr, Mode.SPHERICAL)
     noisy = dists + rng.normal(0.0, noise.sigma_us, size=len(dists))
-    return UsObservation(u.id, tuple(float(v) for v in observe(noisy, mode)))
+    return UsObservation(u.id, observe(noisy, mode))
 
 
 def simulate(config: ScenarioConfig) -> list[MeasurementFrame]:

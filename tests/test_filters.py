@@ -14,7 +14,6 @@ from scansim.filters import (
     UKF_BETA,
     UKF_WEIGHTS,
     ClusterModel,
-    FilterState,
     ekf_step,
     filter_step,
     filter_steps,
@@ -42,8 +41,8 @@ Z_MR = 0.5
 KIND_IDS = ["ekf_step-kwargs0", "ukf_step-kwargs1", "hinf_step-kwargs2"]
 
 
-def make_state(x=0.0, y=0.0, theta=0.0, frame="global", p=0.01):
-    return FilterState(Pose(x, y, theta, frame=frame), p * np.eye(3))
+def make_state(x=0.0, y=0.0, theta=0.0, p=0.01):
+    return np.array([x, y, theta]), p * np.eye(3)
 
 
 def process_noise(sigma_x=0.01, sigma_y=0.01, sigma_theta=0.01):
@@ -249,24 +248,23 @@ class TestUkfWeights:
             filters, "ukf_weights", lambda *args: calls.append(args) or weights(*args)
         )
         model = cluster_model(gr_cluster, Mode.SPHERICAL)
-        values = measurement_model(make_state().pose, gr_cluster, Z_MR, Mode.SPHERICAL)
+        values = measurement_model(Pose(0.0, 0.0, 0.0), gr_cluster, Z_MR, Mode.SPHERICAL)
         obs = UsObservation("gr", tuple(values))
         odo, q = OdometryIncrement(0.05, 0.0), process_noise()
         state = expected = make_state()
         for _ in range(3):
             state = filter_step(state, odo, obs, model, q, "ukf")
-            x, P = ukf_step(
-                expected.pose.as_array(), expected.P,
+            expected = ukf_step(
+                *expected,
                 lambda points: process_model(points, odo),
                 np.asarray(obs.values),
                 lambda points: predict_ranges(points, model.beacons, Z_MR, Mode.SPHERICAL),
                 q, model.R,
                 filters.UKF_WEIGHTS, filters.THETA_INDEX,
             )
-            expected = FilterState(Pose(*x, frame="global"), P)
         assert calls == []
-        assert np.array_equal(state.pose.as_array(), expected.pose.as_array())
-        assert np.array_equal(state.P, expected.P)
+        assert np.array_equal(state[0], expected[0])
+        assert np.array_equal(state[1], expected[1])
 
     def test_sigma_points_reproduce_covariance(self):
         w_mean, w_cov, lam = ukf_weights(0.5, 2.0)
@@ -295,25 +293,25 @@ class TestZeroInnovation:
         state = make_state(1.0, 0.5, 0.3)
         odo = OdometryIncrement(0.1, 0.05)
         q = process_noise()
-        predicted = Pose(*process_model(state.pose.as_array(), odo))
+        predicted = Pose(*process_model(state[0], odo))
         z = UsObservation(
             "gr", tuple(measurement_model(predicted, gr_cluster, Z_MR, Mode.SPHERICAL))
         )
-        out = filter_step(state, odo, z, cluster_model(gr_cluster, Mode.SPHERICAL), q)
-        assert out.pose.as_array() == pytest.approx(predicted.as_array(), abs=1e-12)
+        out, _ = filter_step(state, odo, z, cluster_model(gr_cluster, Mode.SPHERICAL), q)
+        assert out == pytest.approx(predicted.as_array(), abs=1e-12)
 
     def test_hinf_state_unchanged(self, gr_cluster):
         state = make_state(1.0, 0.5, 0.3)
         odo = OdometryIncrement(0.1, 0.05)
         q = process_noise()
-        predicted = Pose(*process_model(state.pose.as_array(), odo))
+        predicted = Pose(*process_model(state[0], odo))
         z = UsObservation(
             "gr", tuple(measurement_model(predicted, gr_cluster, Z_MR, Mode.SPHERICAL))
         )
-        out = filter_step(
+        out, _ = filter_step(
             state, odo, z, cluster_model(gr_cluster, Mode.SPHERICAL), q, "hinf"
         )
-        assert out.pose.as_array() == pytest.approx(predicted.as_array(), abs=1e-12)
+        assert out == pytest.approx(predicted.as_array(), abs=1e-12)
 
     def test_ukf_state_equals_prior_mean(self, gr_cluster):
         state = make_state(1.0, 0.5, 0.3)
@@ -324,12 +322,12 @@ class TestZeroInnovation:
         # redraws its sigma points
         prior_only = filter_step(state, odo, None, None, q, "ukf")
         w_mean, _, lam = filters.UKF_WEIGHTS
-        pts = sigma_points(prior_only.pose.as_array(), prior_only.P, lam)
+        pts = sigma_points(*prior_only, lam)
         predicted = predict_ranges(
             pts[:, :2], gr_cluster.beacon_array(), Z_MR, Mode.SPHERICAL
         )
         z_hat = w_mean @ predicted
-        out = filter_step(
+        out, _ = filter_step(
             state,
             odo,
             UsObservation("gr", tuple(z_hat)),
@@ -337,9 +335,7 @@ class TestZeroInnovation:
             q,
             "ukf",
         )
-        assert out.pose.as_array() == pytest.approx(
-            prior_only.pose.as_array(), abs=1e-9
-        )
+        assert out == pytest.approx(prior_only[0], abs=1e-9)
 
 
 class TestPredictionOnly:
@@ -351,26 +347,26 @@ class TestPredictionOnly:
         state = make_state(0.0, 0.0, 0.0, p=1e-12)
         odo = OdometryIncrement(1.0, 0.0)
         q = process_noise()
-        out = filter_step(state, odo, None, None, q, kind)
-        assert out.pose.x == pytest.approx(1.0)
+        out, _ = filter_step(state, odo, None, None, q, kind)
+        assert out[0] == pytest.approx(1.0)
 
     def test_ukf_prediction_contracts_with_heading_uncertainty(self):
         # the unscented mean of x + d*cos(theta) is d*(1 - P_theta/2) + O(P^2):
         # a real effect of heading uncertainty, not a bug
         state = make_state(0.0, 0.0, 0.0, p=0.01)
-        out = filter_step(
+        out, _ = filter_step(
             state, OdometryIncrement(1.0, 0.0), None, None,
             process_noise(), "ukf",
         )
-        assert out.pose.x == pytest.approx(1.0 - 0.01 / 2, abs=1e-5)
+        assert out[0] == pytest.approx(1.0 - 0.01 / 2, abs=1e-5)
 
     def test_ekf_trace_nondecreasing_without_observations(self):
         state = make_state()
         q = process_noise()
-        traces = [np.trace(state.P)]
+        traces = [np.trace(state[1])]
         for _ in range(10):
             state = filter_step(state, OdometryIncrement(0.1, 0.0), None, None, q)
-            traces.append(np.trace(state.P))
+            traces.append(np.trace(state[1]))
         assert all(b >= a - 1e-15 for a, b in zip(traces, traces[1:]))
 
 
@@ -387,9 +383,8 @@ class TestFilterKinds:
 
 
 def step_alone(kind, state, odo, obs, cluster, q):
-    """One lane through the plain (n,) form of the step functions, as a
-    ``FilterState``."""
-    x, P = state.pose.as_array(), state.P
+    """One lane (x, P) through the plain (n,) form of the step functions."""
+    x, P = state
     jacobian = kind != "ukf"
     z = measure = R = None
     if obs is not None:
@@ -408,26 +403,27 @@ def step_alone(kind, state, odo, obs, cluster, q):
         x, P = ukf_step(x, P, motion, z, measure, q, R, UKF_WEIGHTS, THETA_INDEX)
     else:
         x, P = hinf_step(x, P, motion, z, measure, q, R, HINF_GAMMA, THETA_INDEX)
-    return FilterState(Pose(*x, frame=state.frame), P)
+    return x, P
 
 
 def spread_lanes(gr_cluster, mode, covariances):
     """One lane per covariance, each in a cluster of its own (shifted,
-    stretched, with its own noise) and observing it with noise."""
+    stretched, with its own noise) and observing it with noise; the lanes'
+    states stacked as (x (k, 3), P (k, 3, 3))."""
     rng = np.random.default_rng(21)
-    states, observations, clusters = [], [], []
+    poses, observations, clusters = [], [], []
     for i, P in enumerate(covariances):
         shift = rng.uniform(-6.0, 6.0, size=2)
         beacons = gr_cluster.beacon_array() * [0.8 + 0.2 * i, 1.1 - 0.1 * i, 1.0]
         beacons[:, :2] += shift
         model = ClusterModel(beacons, Z_MR, mode, 0.004 * (i + 1))
-        pose = Pose(*(shift + rng.normal(0.0, 0.6, size=2)), rng.uniform(-3.0, 3.0), frame=f"l{i}")
+        pose = Pose(*(shift + rng.normal(0.0, 0.6, size=2)), rng.uniform(-3.0, 3.0))
         values = predict_ranges(pose.as_array(), beacons, Z_MR, mode)
-        states.append(FilterState(pose, P))
+        poses.append(pose.as_array())
         noisy = values + rng.normal(0.0, 0.01, len(values))
         observations.append(UsObservation(f"c{i}", tuple(noisy)))
         clusters.append(model)
-    return states, tuple(observations), tuple(clusters)
+    return (np.array(poses), np.array(covariances)), tuple(observations), tuple(clusters)
 
 
 def random_covariances(count):
@@ -436,12 +432,16 @@ def random_covariances(count):
     return [root @ root.T + 1e-3 * np.eye(3) for root in roots]
 
 
+def lanes_of(states):
+    """The (x, P) of each lane of stacked states."""
+    return list(zip(*states))
+
+
 def assert_same_lanes(stacked, alone):
-    assert len(stacked) == len(alone)
-    for a, b in zip(stacked, alone):
-        assert a.frame == b.frame
-        assert np.array_equal(a.pose.as_array(), b.pose.as_array())
-        assert np.array_equal(a.P, b.P)
+    assert len(stacked[0]) == len(stacked[1]) == len(alone)
+    for a, b in zip(lanes_of(stacked), alone):
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
 
 class TestLaneAxis:
@@ -456,12 +456,12 @@ class TestLaneAxis:
         for _ in range(4):
             predicted = filter_steps(states, odo, None, None, q, kind)
             assert_same_lanes(
-                predicted, [step_alone(kind, s, odo, None, None, q) for s in states]
+                predicted, [step_alone(kind, s, odo, None, None, q) for s in lanes_of(states)]
             )
             updated = filter_steps(predicted, odo, observations, clusters, q, kind)
             assert_same_lanes(updated, [
                 step_alone(kind, s, odo, obs, c, q)
-                for s, obs, c in zip(predicted, observations, clusters)
+                for s, obs, c in zip(lanes_of(predicted), observations, clusters)
             ])
             states = updated
 
@@ -480,7 +480,7 @@ class TestLaneAxis:
             stacked = filter_steps(states, odo, obs, models, q, "ukf")
             assert_same_lanes(stacked, [
                 step_alone("ukf", s, odo, o, c, q)
-                for s, o, c in zip(states, obs or [None] * 3, models or [None] * 3)
+                for s, o, c in zip(lanes_of(states), obs or [None] * 3, models or [None] * 3)
             ])
 
     def test_hinf_existence_violation_raises_in_a_stack(self, gr_cluster):
@@ -490,7 +490,7 @@ class TestLaneAxis:
         states, observations, clusters = spread_lanes(gr_cluster, Mode.SPHERICAL, covariances)
         odo, q = OdometryIncrement(0.05, 0.0), process_noise()
         filter_steps(states, odo, observations, clusters, q, "hinf")
-        states[2] = replace(states[2], P=100.0 * np.eye(3))
+        states[1][2] = 100.0 * np.eye(3)
         with pytest.raises(FilterError, match="aggressive"):
             filter_steps(states, odo, observations, clusters, q, "hinf")
 
@@ -509,6 +509,26 @@ class TestLaneAxis:
                 filter_steps(states, odo, obs, models, q, "ekf")
 
 
+class TestInputsUntouched:
+    """Every lane of a run bootstraps from the one ``_RunParams.P0`` array
+    and every step gets the one ``Q``: a step that wrote into an input would
+    corrupt every lane."""
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    @pytest.mark.parametrize("mode", [Mode.SPHERICAL, Mode.HYPERBOLIC])
+    def test_step_writes_into_no_input(self, gr_cluster, kind, mode):
+        states, observations, clusters = spread_lanes(gr_cluster, mode, random_covariances(3))
+        odo, q = OdometryIncrement(0.07, -0.04), process_noise()
+        inputs = [*states, q, *(c.R for c in clusters), *(c.R_inv for c in clusters)]
+        before = [a.tobytes() for a in inputs]
+        # one lane, as views into the stack
+        lane = (states[0][0], states[1][0])
+        for obs, models in [(None, None), (observations, clusters)]:
+            filter_steps(states, odo, obs, models, q, kind)
+            filter_step(lane, odo, obs and obs[0], models and models[0], q, kind)
+            assert [a.tobytes() for a in inputs] == before
+
+
 class TestZeroNoiseTracking:
     @pytest.mark.parametrize(
         "kind,tol",
@@ -521,7 +541,7 @@ class TestZeroNoiseTracking:
         # the filters must follow the truth to within the stated tolerance
         q = process_noise(1e-6, 1e-6, 1e-6)
         truth = Pose(-2.5, 0.3, 0.0)
-        state = FilterState(truth, 1e-12 * np.eye(3))
+        state = truth.as_array(), 1e-12 * np.eye(3)
         worst = 0.0
         for _ in range(100):
             new_truth = Pose(*process_model(truth.as_array(), OdometryIncrement(0.05, 0.0)))
@@ -533,7 +553,7 @@ class TestZeroNoiseTracking:
                 q, kind,
             )
             truth = new_truth
-            worst = max(worst, float(np.hypot(*(state.pose.xy - truth.xy))))
+            worst = max(worst, float(np.hypot(*(state[0][:2] - truth.xy))))
         assert worst <= tol
 
 
@@ -597,7 +617,7 @@ class TestLinearModelCrossValidation:
         q = process_noise()
         z = UsObservation(
             "gr",
-            tuple(measurement_model(state.pose, gr_cluster, Z_MR, Mode.SPHERICAL)),
+            tuple(measurement_model(Pose(*state[0]), gr_cluster, Z_MR, Mode.SPHERICAL)),
         )
         with pytest.raises(FilterError, match="aggressive"):
             filter_step(
@@ -642,9 +662,9 @@ class TestFrameTranslationCommutes:
             # tiny-alpha sigma weights (+-1e6 with cancellation) keep a bit
             # more floating-point noise
             tol = 1e-9 if obs is None else 1e-8
-            assert b.pose.xy - shift == pytest.approx(a.pose.xy, abs=tol)
-            assert b.pose.theta == pytest.approx(a.pose.theta, abs=tol)
-            assert b.P == pytest.approx(a.P, abs=tol)
+            assert b[0][:2] - shift == pytest.approx(a[0][:2], abs=tol)
+            assert b[0][2] == pytest.approx(a[0][2], abs=tol)
+            assert b[1] == pytest.approx(a[1], abs=tol)
             state, moved = a, b
 
 
@@ -666,12 +686,12 @@ class TestCovarianceHygiene:
                 state, odo, obs,
                 cluster_model(gr_cluster, Mode.SPHERICAL) if obs else None, q, kind,
             )
-            assert state.P == pytest.approx(state.P.T, abs=1e-15)
-            assert np.min(np.linalg.eigvalsh(state.P)) >= -1e-10
+            assert state[1] == pytest.approx(state[1].T, abs=1e-15)
+            assert np.min(np.linalg.eigvalsh(state[1])) >= -1e-10
 
     def test_theta_stays_wrapped_across_pi(self):
         state = make_state(0.0, 0.0, 3.1)
         q = process_noise()
-        out = filter_step(state, OdometryIncrement(0.1, 0.2), None, None, q)
-        assert -math.pi < out.pose.theta <= math.pi
-        assert out.pose.theta == pytest.approx(3.3 - 2 * math.pi)
+        out, _ = filter_step(state, OdometryIncrement(0.1, 0.2), None, None, q)
+        assert -math.pi < out[2] <= math.pi
+        assert out[2] == pytest.approx(3.3 - 2 * math.pi)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scansim.orchestrator as orchestrator
+from scansim.filters import FILTER_KINDS
 from scansim.orchestrator import inverse_trajectory_pass, merge_inverse_result, run_scan
 from scansim.scenario import (
     Mode,
@@ -226,6 +227,23 @@ class TestInversePass:
         direct = inverse_trajectory_pass(frames, forward, default_config)
         assert len(binds) == 3
         assert direct.calibrations == merged.calibrations
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_run_writes_into_neither_bound_covariance(self, default_config, monkeypatch, kind):
+        # every lane holds the binding's P0 from its bootstrap on, and every
+        # step of both passes gets its Q
+        bound = []
+        bind = orchestrator._RunParams.bind
+        monkeypatch.setattr(
+            orchestrator._RunParams, "bind",
+            classmethod(lambda cls, *args: bound.append(bind(*args)) or bound[-1]),
+        )
+        frames = simulate(default_config)
+        assert run_scan(frames, default_config, kind, "analytical", inverse=True).inverse_applied
+        (params,) = bound
+        fresh = bind(default_config, kind, "analytical")
+        assert params.P0.tobytes() == fresh.P0.tobytes()
+        assert params.Q.tobytes() == fresh.Q.tobytes()
 
     def test_skipped_when_not_ending_in_global_coverage(self, zero_noise):
         config = default_scenario(noise=zero_noise)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scansim.errors import ScenarioError
+from scansim.geometry import wrap_angles
 from scansim.scenario import (
     Beacon,
     Mode,
@@ -45,6 +46,24 @@ class TestWrapAngle:
         # wrapping again is a no-op and 2*pi shifts are invisible
         assert wrap_angle(w) == pytest.approx(w)
         assert wrap_angle(theta + 2 * math.pi) == pytest.approx(w, abs=1e-9)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(math.pi)
+    @example(-math.pi)
+    @example(0.0)
+    @example(-0.0)
+    @example(2 * math.pi)
+    @example(-2 * math.pi)
+    @example(1e-17)
+    @example(-1e-17)
+    @example(5e-324)
+    @settings(max_examples=1000)
+    def test_wrapping_is_idempotent_bit_for_bit(self, theta):
+        # a filter step wraps its heading with wrap_angles; a Pose built from
+        # it wraps again with wrap_angle and must keep the same bits
+        w = float(wrap_angles(theta))
+        assert wrap_angle(w).hex() == w.hex()
+        assert wrap_angle(theta).hex() == w.hex()
 
 
 class TestPose:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -147,6 +148,20 @@ class TestMeasureUltrasound:
         )
         expected = [v - sph.values[0] for v in sph.values[1:]]
         assert hyp.values == pytest.approx(expected, abs=1e-15)
+
+
+class TestUsObservation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reading_rejected(self, bad):
+        # one such reading would turn a whole run's estimates into NaN
+        with pytest.raises(ValueError, match="finite"):
+            UsObservation("lr3", (3.1, bad, 3.2, 3.3))
+
+    def test_frame_log_with_a_nan_reading_rejected(self, default_config):
+        data = frames_to_jsonable(simulate(default_config)[:5])
+        data[2]["observations"][0]["values"][0] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            frames_from_jsonable(json.loads(json.dumps(data)))
 
 
 class TestTrueTransform:

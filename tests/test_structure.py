@@ -4,7 +4,8 @@ Every import sits at module level: none is hidden inside a function body or
 behind ``if TYPE_CHECKING``, where it would mask an import cycle.  The
 third-party packages the modules import are exactly the declared runtime
 dependencies.  The estimator modules, and the orchestrator outside its
-scoring step, name no ground truth.
+scoring step, name no ground truth.  The filters step bare arrays: they
+import nothing from the world model and name no ``Pose``.
 """
 
 import ast
@@ -154,3 +155,34 @@ def test_only_the_scoring_step_of_the_orchestrator_names_truth():
     assert names(scoring[0]) & TRUTH
     tree.body.remove(scoring[0])
     assert names(tree) & TRUTH == set()
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """The last dotted name of every module ``tree`` imports or imports from;
+    for ``from . import a``, a."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                found.add(node.module.split(".")[-1])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_imported_modules_detected():
+    source = (
+        "from .scenario import Pose\n"
+        "from . import geometry\n"
+        "import scansim.simulator\n"
+        "from scansim.errors import FilterError\n"
+    )
+    assert imported_modules(ast.parse(source)) == {"scenario", "geometry", "simulator", "errors"}
+
+
+def test_filters_step_arrays_not_poses():
+    tree = ast.parse((PACKAGE / "filters.py").read_text())
+    assert "scenario" not in imported_modules(tree)
+    assert "Pose" not in names(tree)
